@@ -35,6 +35,7 @@ from .girsanov import (
     approx_exponential,
     approx_exponential_euler,
     lp_error,
+    lp_errors,
     rate_fit,
     simulate_exponential,
     u_eval,
@@ -66,7 +67,7 @@ __all__ = [
     "approx_exponential", "approx_exponential_euler", "builtin_drift",
     "compose_chapman", "density_distance", "eval_drift",
     "girsanov_kernel_cdf", "kernel_eval", "kernel_matrix", "ks_distance",
-    "liouville_density", "lp_error", "marginal_density",
+    "liouville_density", "lp_error", "lp_errors", "marginal_density",
     "normalization_defect", "parse_drift", "rate_fit", "sample_crypto",
     "sample_em_path", "simulate_exponential", "solve_fokker_planck",
     "u_eval", "validate_assumption",

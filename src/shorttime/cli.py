@@ -191,21 +191,20 @@ def _cmd_density(cfg, out):
     return [path], {"mass_defect": defects, "T": T}
 
 
-def _mc_config(cfg, p):
+def _mc_config(cfg):
     mc = _require(cfg, "mc")
     return girsanov.MCConfig(
         n_paths=int(mc["n_paths"]), n_steps=int(mc["n_steps"]),
-        base_seed=int(mc["base_seed"]), p=float(p),
+        base_seed=int(mc["base_seed"]),
     )
 
 
 def _cmd_girsanov_error(cfg, out):
     m = _build_map(cfg)
     T = float(_require(cfg, "T"))
-    rows = []
-    for p in cfg.get("p_values", [2.0]):
-        est = girsanov.lp_error(m, T, _mc_config(cfg, p))
-        rows.append((T, p, est.mean, est.std_error))
+    p_values = [float(p) for p in cfg.get("p_values", [2.0])]
+    ests = girsanov.lp_errors(m, T, _mc_config(cfg), p_values)
+    rows = [(T, p, e.mean, e.std_error) for p, e in zip(p_values, ests)]
     path = os.path.join(out, "errors.csv")
     _write_csv(path, ["T", "p", "error_mean", "std_error"], rows)
     return [path], {}
@@ -215,14 +214,14 @@ def _cmd_rate(cfg, out):
     m = _build_map(cfg)
     t_grid = [float(t) for t in _require(cfg, "T_grid")]
     p_values = [float(p) for p in cfg.get("p_values", [1.0, 2.0])]
+    mc = _mc_config(cfg)
+    # one common-path pass per T serves every p; rows stay p-major
+    per_t = [girsanov.lp_errors(m, T, mc, p_values) for T in t_grid]
     rows = []
     fits = {}
-    for p in p_values:
-        errors = []
-        for T in t_grid:
-            est = girsanov.lp_error(m, T, _mc_config(cfg, p))
-            errors.append((T, est))
-            rows.append((T, p, est.mean, est.std_error))
+    for i, p in enumerate(p_values):
+        errors = [(T, ests[i]) for T, ests in zip(t_grid, per_t)]
+        rows.extend((T, p, est.mean, est.std_error) for T, est in errors)
         fit = girsanov.rate_fit(errors)
         fits[_fmt(p)] = {"slope": fit.slope, "intercept": fit.intercept,
                          "r_squared": fit.r_squared}

@@ -131,37 +131,66 @@ def approx_exponential_euler(m, b_T, T):
 
 
 def lp_error(m, T, cfg):
-    """(E|M_T - approx|^p)^(1/p) by common-random-path Monte Carlo.
+    """(E|M_T - approx|^p)^(1/p) at p = cfg.p; see lp_errors."""
+    return lp_errors(m, T, cfg, [cfg.p])[0]
+
+
+def lp_errors(m, T, cfg, p_values):
+    """(E|M_T - approx|^p)^(1/p) for every p in p_values, by common-random-path
+    Monte Carlo; returns one ErrorEstimate per p, in the order of p_values.
 
     Each path feeds both sides: the full path for the Ito sums, its endpoint
     for the deterministic approximation.  Pairing is required, not cosmetic:
-    the target is a pathwise L^p distance.
+    the target is a pathwise L^p distance.  One chunked pass builds the gap
+    d = |M_T - u(T, B_T)| and accumulates sum d^p and sum d^(2p) for every p,
+    so each estimate equals a separate pass at that p bit for bit (cfg.p
+    itself is not used).
     """
-    p = cfg.p
-    dt = T / cfg.n_steps
+    p_values = [float(p) for p in p_values]
+    for p in p_values:
+        if not (math.isfinite(p) and p >= 1.0):
+            raise ValueError(f"p must be finite and >= 1, got {p!r}")
+    if not p_values:
+        return []
+    n_steps = cfg.n_steps
+    dt = T / n_steps
     sqrt_dt = math.sqrt(dt)
-    total = 0.0
-    total_sq = 0.0
+    total = [0.0] * len(p_values)
+    total_sq = [0.0] * len(p_values)
     n_done = 0
     chunk_index = 0
     while n_done < cfg.n_paths:
         k = min(_CHUNK, cfg.n_paths - n_done)
         rng = chunk_rng(cfg.base_seed, chunk_index)
-        inc = rng.standard_normal((k, cfg.n_steps)) * sqrt_dt
-        b = np.cumsum(inc, axis=1)
-        left = np.concatenate([np.zeros((k, 1)), b[:, :-1]], axis=1)
+        inc = rng.standard_normal((k, n_steps))
+        inc *= sqrt_dt
+        # B at the grid times, column 0 being B_0 = 0; the drift is taken at
+        # the left points buf[:, :-1] (Ito sums)
+        buf = np.empty((k, n_steps + 1))
+        buf[:, 0] = 0.0
+        np.cumsum(inc, axis=1, out=buf[:, 1:])
+        left = buf[:, :-1]
         f = np.asarray(m.drift_at(left), dtype=float)
         f = np.broadcast_to(f, left.shape)
-        ito = np.sum(f * inc, axis=1)
-        quad = np.sum(f * f, axis=1) * dt
+        # inc is not needed after the two products, so it holds them in turn
+        ito = np.sum(np.multiply(f, inc, out=inc), axis=1)
+        quad = np.sum(np.multiply(f, f, out=inc), axis=1) * dt
         m_true = np.exp(ito - 0.5 * quad)
-        m_approx = approx_exponential(m, b[:, -1], T)
-        d = np.abs(m_true - m_approx) ** p
-        total += float(np.sum(d))
-        total_sq += float(np.sum(d * d))
+        m_approx = approx_exponential(m, buf[:, -1], T)
+        d = np.abs(m_true - m_approx)
+        for i, p in enumerate(p_values):
+            dp = d ** p
+            total[i] += float(np.sum(dp))
+            total_sq[i] += float(np.sum(dp * dp))
         n_done += k
         chunk_index += 1
     n = cfg.n_paths
+    return [_lp_estimate(s, s2, n, p)
+            for s, s2, p in zip(total, total_sq, p_values)]
+
+
+def _lp_estimate(total, total_sq, n, p):
+    """Point estimate and delta-method SE from sum d^p and sum d^(2p)."""
     moment = total / n
     var = max(total_sq / n - moment * moment, 0.0) * n / (n - 1)
     se_moment = math.sqrt(var / n)

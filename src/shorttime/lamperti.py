@@ -28,8 +28,16 @@ _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 
 _MAX_REFINE = 60
+_MAX_LIVE = 1 << 16  # live subintervals of one integral (QUADPACK's limit)
 _MAX_BRACKET_DOUBLINGS = 80
 _MAX_NEWTON = 100
+
+
+def _require_finite(name, v):
+    v = np.asarray(v, dtype=float)
+    finite = np.isfinite(v)
+    if not np.all(finite):
+        raise LampertiError(f"non-finite {name}={float(v[~finite][0])!r}")
 
 
 class LampertiMap:
@@ -84,6 +92,13 @@ class LampertiMap:
         for _ in range(_MAX_REFINE):
             if idx.size == 0:
                 return total
+            # no segment may split into more than _MAX_LIVE live pieces;
+            # the total bounds every segment's count, so bincount runs rarely
+            if idx.size > _MAX_LIVE and np.bincount(idx).max() > _MAX_LIVE:
+                raise QuadratureError(
+                    f"{idx.size} live subintervals exceed the budget of "
+                    f"{_MAX_LIVE} per integral at quad_tol={tol}"
+                )
             mid = 0.5 * (lo + hi)
             half = 0.5 * (hi - lo)
             nodes16 = mid[:, None] + half[:, None] * _GL16_X[None, :]
@@ -107,6 +122,7 @@ class LampertiMap:
 
     def lambda_map(self, x):
         """Lambda(x) = int_{reference}^{x} du / F(u), vectorized."""
+        _require_finite("x", x)
         if self.is_constant:
             if self._const <= 0.0:
                 raise LampertiError("constant drift must be positive for Lambda")
@@ -222,6 +238,8 @@ class LampertiMap:
 
     def flow(self, x, t):
         """phi_t(x) = Lambda^{-1}(Lambda(x) + t); negative t flows backward."""
+        _require_finite("x", x)
+        _require_finite("t", t)
         if self.is_constant:
             out = np.asarray(x, dtype=float) + self._const * np.asarray(t, dtype=float)
             return float(out) if np.ndim(out) == 0 else out

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -59,6 +61,17 @@ class TestFlowCommand:
         assert rows[0] == "x,flow"
         got = [float(r.split(",")[1]) for r in rows[1:]]
         assert got == pytest.approx([0.5, 1.5])
+
+    def test_huge_x_is_domain_error(self, tmp_path, capsys):
+        # the quadrature budget turns a runaway integral into a typed error
+        cfg = write_cfg(tmp_path, "c.json", {
+            "drift": COS, "t": 0.1, "x_values": [0.0, 1e8],
+        })
+        code, payload = run(capsys, "flow", "--config", cfg,
+                            "--out-dir", str(tmp_path))
+        assert code == 1
+        assert payload["error"]["kind"] == "domain"
+        assert payload["error"]["module"] == "lamperti"
 
     def test_epsilon_gate_blocks_bad_drift(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
@@ -135,6 +148,80 @@ class TestErrorAndRateCommands:
         fits = json.loads((tmp_path / "rate_fit.json").read_text())
         assert set(fits["1"]) == {"slope", "intercept", "r_squared"}
         assert manifest["fits"]["1"]["slope"] == fits["1"]["slope"]
+
+
+    @pytest.mark.parametrize("command,extra", [
+        ("girsanov-error", {"T": 0.1}),
+        ("rate", {"T_grid": [0.2, 0.1, 0.05]}),
+    ])
+    def test_invalid_p_fails_before_path_work(self, command, extra, tmp_path,
+                                              capsys, monkeypatch):
+        from shorttime import girsanov
+
+        calls = []
+        real = girsanov.chunk_rng
+        monkeypatch.setattr(girsanov, "chunk_rng",
+                            lambda *a: calls.append(a) or real(*a))
+        cfg = write_cfg(tmp_path, "c.json", dict(extra, **{
+            "drift": COS, "p_values": [1, 0.5],
+            "mc": {"n_paths": 400, "n_steps": 32, "base_seed": 7},
+        }))
+        code, payload = run(capsys, command, "--config", cfg,
+                            "--out-dir", str(tmp_path))
+        assert code == 1
+        assert payload["error"]["kind"] == "domain"
+        assert "p must be" in payload["error"]["message"]
+        assert calls == []
+
+
+def _sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+class TestPinnedArtifacts:
+    """Artifact digests taken before the Monte Carlo pass served all p at
+    once; the one-pass estimator and the flow guards must reproduce them."""
+
+    CASES = [
+        ("girsanov-error", {
+            "drift": COS, "T": 0.1, "p_values": [1.0, 1.5, 2.0, 3.0],
+            "mc": {"n_paths": 2500, "n_steps": 32, "base_seed": 7},
+        }, {"errors.csv":
+            "c5f27ec88dbdd2c74fe50d2626447caaf8a6edb4e9672b36fc06ef9a32c9a25b"}),
+        ("girsanov-error", {
+            "drift": {"builtin": "logistic_floor"}, "T": 0.05,
+            "p_values": [2.0, 1.0],
+            "mc": {"n_paths": 300, "n_steps": 64, "base_seed": 11},
+        }, {"errors.csv":
+            "e917c9964d7aea29d5d9ccb0a1b7a00955fb646fd04c6d087877db853e89b378"}),
+        ("rate", {
+            "drift": COS, "alpha": 1.0, "T_grid": [0.2, 0.1, 0.05],
+            "p_values": [1.0, 2.0],
+            "mc": {"n_paths": 2100, "n_steps": 32, "base_seed": 5},
+        }, {"rate_errors.csv":
+            "13e34871ff3dcc110b4af64944b672875b7d4aa14098317a21430692ea2ab616",
+            "rate_fit.json":
+            "eddef9c883582d1d2367c54dd41f3817c30d2e3e88a3679ed4fd20d99c79cb16"}),
+        ("flow", {
+            "drift": COS, "t": 0.5,
+            "x_values": [-20.0, -7.5, -2.0, -1.0, 0.0, 0.3, 1.0, 2.0, 9.25,
+                         20.0, 1000.0],
+        }, {"flow.csv":
+            "aa8b26acca5cf716acc43e5cbb53f7ec5a1e0100c223ffe26dee6d128b833076"}),
+        ("flow", {
+            "drift": {"builtin": "logistic_floor"}, "t": -0.25,
+            "x_values": [-20.0, -7.5, -2.0, -1.0, 0.0, 0.3, 1.0, 2.0, 9.25,
+                         20.0, 1000.0],
+        }, {"flow.csv":
+            "7df340ce4291f66f73dfe8e6b9e8ad1aa361ed7dbcb3f96e71222eef828b60b2"}),
+    ]
+
+    @pytest.mark.parametrize("command,cfg,digests", CASES,
+                             ids=[c[0] + str(i) for i, c in enumerate(CASES)])
+    def test_digest(self, command, cfg, digests, tmp_path):
+        manifest = cli.run_command(command, cfg, str(tmp_path))
+        got = {os.path.basename(p): _sha256(p) for p in manifest["outputs"]}
+        assert got == digests
 
 
 class TestComposeAndFp:

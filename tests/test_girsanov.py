@@ -9,12 +9,15 @@ from shorttime import (
     MCConfig,
     approx_exponential,
     approx_exponential_euler,
+    builtin_drift,
     lp_error,
+    lp_errors,
     parse_drift,
     rate_fit,
     simulate_exponential,
     u_eval,
 )
+from shorttime import girsanov
 from shorttime.girsanov import chunk_rng
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
@@ -215,6 +218,74 @@ class TestLpError:
         fit = rate_fit(pts)
         assert 0.7 <= fit.slope <= 1.4
         assert fit.r_squared >= 0.95
+
+
+def _per_p_pass(m, T, cfg, p):
+    """A separate common-path pass per p, written out plainly: the oracle
+    that the one-pass lp_errors must match bit for bit."""
+    dt = T / cfg.n_steps
+    total = total_sq = 0.0
+    for c, start in enumerate(range(0, cfg.n_paths, girsanov._CHUNK)):
+        k = min(girsanov._CHUNK, cfg.n_paths - start)
+        inc = chunk_rng(cfg.base_seed, c).standard_normal(
+            (k, cfg.n_steps)) * math.sqrt(dt)
+        b = np.cumsum(inc, axis=1)
+        left = np.concatenate([np.zeros((k, 1)), b[:, :-1]], axis=1)
+        f = np.broadcast_to(np.asarray(m.drift_at(left), dtype=float),
+                            left.shape)
+        m_true = np.exp(np.sum(f * inc, axis=1)
+                        - 0.5 * np.sum(f * f, axis=1) * dt)
+        d = np.abs(m_true - approx_exponential(m, b[:, -1], T)) ** p
+        total += float(np.sum(d))
+        total_sq += float(np.sum(d * d))
+    return girsanov._lp_estimate(total, total_sq, cfg.n_paths, p)
+
+
+class TestLpErrors:
+    P_VALUES = [1.0, 1.5, 2.0, 3.0]
+
+    @pytest.mark.parametrize("m", [
+        LampertiMap(TWO_PLUS_COS),
+        LampertiMap(builtin_drift("logistic_floor"), alpha=0.5),
+        LampertiMap(parse_drift("2")),
+    ], ids=["two_plus_cos", "logistic_floor", "constant"])
+    def test_one_pass_equals_per_p_passes(self, m):
+        # n_paths spans two RNG chunks; equality is exact, not approximate
+        cfg = MCConfig(n_paths=girsanov._CHUNK + 300, n_steps=16,
+                       base_seed=19)
+        ests = lp_errors(m, 0.1, cfg, self.P_VALUES)
+        assert [e.n for e in ests] == [cfg.n_paths] * len(self.P_VALUES)
+        for p, est in zip(self.P_VALUES, ests):
+            ref = _per_p_pass(m, 0.1, cfg, p)
+            assert (est.mean, est.std_error, est.n) == \
+                (ref.mean, ref.std_error, ref.n)
+            single = lp_error(m, 0.1, MCConfig(n_paths=cfg.n_paths,
+                                               n_steps=16, base_seed=19, p=p))
+            assert (single.mean, single.std_error, single.n) == \
+                (est.mean, est.std_error, est.n)
+
+    def test_order_follows_p_values(self):
+        m = LampertiMap(TWO_PLUS_COS)
+        cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
+        fwd = lp_errors(m, 0.1, cfg, [1.0, 2.0, 3.0])
+        rev = lp_errors(m, 0.1, cfg, [3.0, 2.0, 1.0])
+        assert rev == fwd[::-1]
+        assert fwd[0].mean < fwd[1].mean < fwd[2].mean  # Lyapunov
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -1.0, math.nan, math.inf])
+    def test_invalid_p_fails_before_any_path(self, bad, monkeypatch):
+        calls = []
+        monkeypatch.setattr(girsanov, "chunk_rng",
+                            lambda *a: calls.append(a) or chunk_rng(*a))
+        cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
+        with pytest.raises(ValueError, match="p must be"):
+            lp_errors(LampertiMap(TWO_PLUS_COS), 0.1, cfg, [1.0, bad])
+        assert calls == []
+
+    def test_no_p_values_no_pass(self, monkeypatch):
+        monkeypatch.setattr(girsanov, "chunk_rng", None)  # any pass would fail
+        cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
+        assert lp_errors(LampertiMap(TWO_PLUS_COS), 0.1, cfg, []) == []
 
 
 class TestRateFit:

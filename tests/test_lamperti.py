@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from shorttime import LampertiError, LampertiMap, parse_drift
+import shorttime
+from shorttime import LampertiError, LampertiMap, QuadratureError, parse_drift
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
 
@@ -151,3 +155,68 @@ class TestFlow:
         assert isinstance(m.flow(0.3, 0.1), float)
         xs = np.linspace(-1, 1, 6).reshape(2, 3)
         assert m.flow(xs, 0.1).shape == (2, 3)
+
+
+# Runs one flow call in a fresh interpreter whose own address space is capped
+# at what the imports took plus 256 MB; prints the error type and seconds.
+_GUARD_PROBE = """
+import resource, sys, time
+from shorttime import LampertiError, LampertiMap, parse_drift
+pages = int(open("/proc/self/statm").read().split()[0])
+cap = pages * resource.getpagesize() + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS,
+                   (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+m = LampertiMap(parse_drift("2 + cos(x)"))
+start = time.perf_counter()
+try:
+    m.flow(float(sys.argv[1]), float(sys.argv[2]))
+except LampertiError as exc:
+    print(type(exc).__name__, time.perf_counter() - start)
+"""
+
+
+class TestFlowGuards:
+    @pytest.mark.parametrize("x,t", [
+        (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1), (0.0, math.nan),
+        (0.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, x, t):
+        for m in (LampertiMap(TWO_PLUS_COS), LampertiMap(parse_drift("2"))):
+            with pytest.raises(LampertiError, match="non-finite"):
+                m.flow(x, t)
+            with pytest.raises(LampertiError, match="non-finite"):
+                m.flow(np.array([0.0, x, 1.0]), t)
+
+    def test_lambda_map_rejects_non_finite(self):
+        with pytest.raises(LampertiError, match="non-finite x=nan"):
+            LampertiMap(TWO_PLUS_COS).lambda_map(np.array([0.5, math.nan]))
+        with pytest.raises(LampertiError, match="non-finite x=inf"):
+            LampertiMap(parse_drift("3")).lambda_map(math.inf)
+
+    def test_budget_raises_quadrature_error(self):
+        with pytest.raises(QuadratureError, match="budget"):
+            LampertiMap(TWO_PLUS_COS).flow(1e8, 0.1)
+
+    def test_budget_leaves_long_integrals_alone(self):
+        # [0, 1e4] spans ~1600 periods and needs ~1e4 live subintervals
+        m = LampertiMap(TWO_PLUS_COS)
+        assert m.lambda_map(1e4) == pytest.approx(
+            float(lambda_cos_exact(1e4)), abs=1e-6)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="caps the child's RLIMIT_AS via /proc")
+    @pytest.mark.parametrize("x,t", [
+        (math.nan, 0.1), (math.inf, 0.1), (1e8, 0.1), (0.0, 1e6),
+    ])
+    def test_bounded_time_and_memory(self, x, t):
+        src = os.path.dirname(os.path.dirname(shorttime.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _GUARD_PROBE, repr(x), repr(t)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        name, seconds = proc.stdout.split()
+        assert issubclass(getattr(shorttime, name), LampertiError)
+        assert float(seconds) < 1.0
