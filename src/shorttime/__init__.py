@@ -11,11 +11,9 @@ from .drift import (
     AssumptionReport,
     DriftDomainError,
     DriftError,
-    DriftEval,
     DriftExpr,
     DriftParseError,
     builtin_drift,
-    eval_drift,
     parse_drift,
     validate_assumption,
 )
@@ -60,12 +58,11 @@ from .sampler import (
 
 __all__ = [
     "AssumptionReport", "BracketError", "BrownianPath", "CompositionPlan",
-    "DriftDomainError", "DriftError", "DriftEval", "DriftExpr",
-    "DriftParseError", "ErrorEstimate", "GridDensity", "GridSpec",
-    "InitialLaw", "KernelKind", "LampertiError", "LampertiMap", "MCConfig",
-    "QuadratureError", "RateFit", "SampleSet",
-    "approx_exponential", "approx_exponential_euler", "builtin_drift",
-    "compose_chapman", "density_distance", "eval_drift",
+    "DriftDomainError", "DriftError", "DriftExpr", "DriftParseError",
+    "ErrorEstimate", "GridDensity", "GridSpec", "InitialLaw", "KernelKind",
+    "LampertiError", "LampertiMap", "MCConfig", "QuadratureError", "RateFit",
+    "SampleSet", "approx_exponential", "approx_exponential_euler",
+    "builtin_drift", "compose_chapman", "density_distance",
     "girsanov_kernel_cdf", "kernel_eval", "kernel_matrix", "ks_distance",
     "liouville_density", "lp_error", "lp_errors", "marginal_density",
     "normalization_defect", "parse_drift", "rate_fit", "sample_crypto",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -46,10 +47,22 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _finite_float(text):
+    """json number hook: NaN, Infinity and overflowing literals such as 1e999
+    would run and write nan rows, so they are refused."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ConfigError(f"non-finite number {text!r} in config")
+    return v
+
+
+_JSON_HOOKS = {"parse_float": _finite_float, "parse_constant": _finite_float}
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, **_JSON_HOOKS)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
@@ -358,7 +371,7 @@ def main(argv=None):
                 raise ConfigError(f"bad override {item!r}; expected K=V")
             key, _, raw = item.partition("=")
             try:
-                cfg[key] = json.loads(raw)
+                cfg[key] = json.loads(raw, **_JSON_HOOKS)
             except json.JSONDecodeError:
                 cfg[key] = raw
         manifest = run_command(args.command, cfg, args.out_dir)

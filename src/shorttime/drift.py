@@ -360,13 +360,6 @@ class DriftExpr:
 
 
 @dataclass(frozen=True)
-class DriftEval:
-    f: float
-    f1: float
-    f2: float
-
-
-@dataclass(frozen=True)
 class AssumptionReport:
     f_min: float
     f_max: float
@@ -411,12 +404,6 @@ def drift_from_config(cfg):
     raise DriftError("drift config needs an 'expr' or 'builtin' key")
 
 
-def eval_drift(d, x):
-    """Evaluate (f, f', f'') at a single point."""
-    f, f1, f2 = d.jets(float(x))
-    return DriftEval(f=float(f), f1=float(f1), f2=float(f2))
-
-
 def validate_assumption(d, scan_range, epsilon, n):
     """Scan f over n equispaced points; pass iff min f stays above epsilon.
 
@@ -441,13 +428,12 @@ def validate_assumption(d, scan_range, epsilon, n):
             except DriftDomainError as exc:
                 raise DriftDomainError(f"{exc} at x={x!r}") from None
         raise
-    f = np.broadcast_to(f, xs.shape)
     f_min = float(np.min(f))
     return AssumptionReport(
         f_min=f_min,
         f_max=float(np.max(f)),
-        f1_max_abs=float(np.max(np.abs(np.broadcast_to(f1, xs.shape)))),
-        f2_max_abs=float(np.max(np.abs(np.broadcast_to(f2, xs.shape)))),
+        f1_max_abs=float(np.max(np.abs(f1))),
+        f2_max_abs=float(np.max(np.abs(f2))),
         epsilon=float(epsilon),
         scan_range=(lo, hi),
         n_samples=int(n),

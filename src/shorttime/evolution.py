@@ -66,12 +66,7 @@ def liouville_density(m, t, T, x, x_prime):
         raise ValueError("T must be positive")
     if not 0.0 <= t <= T:
         raise ValueError("need 0 <= t <= T")
-    x = np.asarray(x, dtype=float)
-    y = m.flow(x, -t)
-    if m.is_constant:
-        ratio = 1.0
-    else:
-        ratio = np.asarray(m.drift_at(y)) / np.asarray(m.drift_at(x))
+    y, ratio = m.transport(np.asarray(x, dtype=float), t)
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
     out = ratio * norm * np.exp(-np.square(y - x_prime) / (2.0 * T))
     return float(out) if np.ndim(out) == 0 else out
@@ -144,7 +139,7 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
         raise ValueError("grid too coarse for the warm-start kernel")
 
     mids = 0.5 * (xs[:-1] + xs[1:])
-    fm = np.broadcast_to(np.asarray(m.drift_at(mids), dtype=float), mids.shape)
+    fm = m.drift_at(mids)
 
     n = grid.n_points
     # Interface flux between nodes i and i+1:

@@ -19,6 +19,13 @@ def chunk_rng(base_seed, chunk_index):
     )
 
 
+def chunks(n, size, seed):
+    """Yield (chunk_rng(seed, i), k) for the i-th chunk of k <= size draws,
+    covering n draws; each chunk has its own seed, independent of workers."""
+    for i, start in enumerate(range(0, n, size)):
+        yield chunk_rng(seed, i), min(size, n - start)
+
+
 @dataclass(frozen=True)
 class BrownianPath:
     """A discretized Brownian trajectory on [0, horizon]."""
@@ -61,8 +68,8 @@ class MCConfig:
             raise ValueError("need at least 2 paths")
         if self.n_steps < 1:
             raise ValueError("need at least 1 step")
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
+        if not (math.isfinite(self.p) and self.p >= 1.0):
+            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +90,7 @@ class RateFit:
 def simulate_exponential(m, path):
     """Girsanov exponential from left-point (Ito) sums on the path grid."""
     b = path.cumulative()
-    left = b[:-1]
-    f = np.asarray(m.drift_at(left), dtype=float)
-    f = np.broadcast_to(f, left.shape)
+    f = m.drift_at(b[:-1])
     ito = float(f @ path.increments)
     quad = float(np.sum(f * f)) * path.dt
     return math.exp(ito - 0.5 * quad)
@@ -102,11 +107,7 @@ def u_eval(m, t, x, T):
     if not 0.0 <= t <= T:
         raise ValueError("need 0 <= t <= T")
     x = np.asarray(x, dtype=float)
-    y = m.flow(x, -t)
-    if m.is_constant:
-        ratio = 1.0
-    else:
-        ratio = np.asarray(m.drift_at(y)) / np.asarray(m.drift_at(x))
+    y, ratio = m.transport(x, t)
     out = ratio * np.exp(-((np.square(y) - np.square(x)) / (2.0 * T)))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -125,7 +126,7 @@ def approx_exponential_euler(m, b_T, T):
     if T <= 0.0:
         raise ValueError("T must be positive")
     b = np.asarray(b_T, dtype=float)
-    c = float(np.asarray(m.drift_at(0.0)))
+    c = float(m.drift_at(0.0))
     out = np.exp(-((np.square(b - c * T) - np.square(b)) / (2.0 * T)))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -157,11 +158,7 @@ def lp_errors(m, T, cfg, p_values):
     sqrt_dt = math.sqrt(dt)
     total = [0.0] * len(p_values)
     total_sq = [0.0] * len(p_values)
-    n_done = 0
-    chunk_index = 0
-    while n_done < cfg.n_paths:
-        k = min(_CHUNK, cfg.n_paths - n_done)
-        rng = chunk_rng(cfg.base_seed, chunk_index)
+    for rng, k in chunks(cfg.n_paths, _CHUNK, cfg.base_seed):
         inc = rng.standard_normal((k, n_steps))
         inc *= sqrt_dt
         # B at the grid times, column 0 being B_0 = 0; the drift is taken at
@@ -169,9 +166,7 @@ def lp_errors(m, T, cfg, p_values):
         buf = np.empty((k, n_steps + 1))
         buf[:, 0] = 0.0
         np.cumsum(inc, axis=1, out=buf[:, 1:])
-        left = buf[:, :-1]
-        f = np.asarray(m.drift_at(left), dtype=float)
-        f = np.broadcast_to(f, left.shape)
+        f = m.drift_at(buf[:, :-1])
         # inc is not needed after the two products, so it holds them in turn
         ito = np.sum(np.multiply(f, inc, out=inc), axis=1)
         quad = np.sum(np.multiply(f, f, out=inc), axis=1) * dt
@@ -182,8 +177,6 @@ def lp_errors(m, T, cfg, p_values):
             dp = d ** p
             total[i] += float(np.sum(dp))
             total_sq[i] += float(np.sum(dp * dp))
-        n_done += k
-        chunk_index += 1
     n = cfg.n_paths
     return [_lp_estimate(s, s2, n, p)
             for s, s2, p in zip(total, total_sq, p_values)]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lamperti import LampertiMap
+from .lamperti import _GL16_W, _GL16_X, LampertiMap
 
 
 class TailMassError(Exception):
@@ -35,6 +35,8 @@ class InitialLaw:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise ValueError("need at least one atom")
+        if not all(math.isfinite(v) for atom in atoms for v in atom):
+            raise ValueError("atom locations and weights must be finite")
         if any(w <= 0.0 for _, w in atoms):
             raise ValueError("weights must be positive")
         if abs(sum(w for _, w in atoms) - 1.0) > 1e-12:
@@ -62,13 +64,16 @@ class GridSpec:
 
 
 def kernel_eval(kind, m, T, x, x_prime):
-    """Density approximation p(T, x | 0, x_prime); vectorized in x/x_prime.
+    """Density approximation p(T, x | 0, x_prime); broadcast over x/x_prime.
 
     girsanov:        (2 pi T)^{-1/2} (F(y)/F(x)) exp{-(y - x')^2 / 2T},
                      y the backward flow of x over T
     euler_maruyama:  (2 pi T)^{-1/2} exp{-(x - x' - F(x') T)^2 / 2T}
     backward_euler:  (2 pi T)^{-1/2} exp{-(x - x' - F(x) T)^2 / 2T - F'(x) T}
     haken:           identical closed form to backward_euler
+
+    The flow and the jets depend on x only and the euler_maruyama drift on x'
+    only, so on a product grid each runs once per point, not once per cell.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
@@ -76,14 +81,10 @@ def kernel_eval(kind, m, T, x, x_prime):
     xp = np.asarray(x_prime, dtype=float)
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
     if kind is KernelKind.GIRSANOV:
-        y = m.flow(x, -T)
-        if m.is_constant:
-            ratio = 1.0
-        else:
-            ratio = np.asarray(m.drift_at(y)) / np.asarray(m.drift_at(x))
+        y, ratio = m.transport(x, T)
         out = norm * ratio * np.exp(-np.square(y - xp) / (2.0 * T))
     elif kind is KernelKind.EULER_MARUYAMA:
-        fp = np.asarray(m.drift_at(xp))
+        fp = m.drift_at(xp)
         out = norm * np.exp(-np.square(x - xp - fp * T) / (2.0 * T))
     elif kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
         f, f1, _ = m.drift_jets(x)
@@ -94,42 +95,10 @@ def kernel_eval(kind, m, T, x, x_prime):
 
 
 def kernel_matrix(m, kind, T, xs, x_primes):
-    """Kernel values on the product grid, shape (len(xs), len(x_primes)).
-
-    Built from one pass of the expensive pieces (backward flow, drift jets)
-    along xs, since the x' dependence is only through the Gaussian factor.
-    """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    xs = np.asarray(xs, dtype=float)
-    xp = np.asarray(x_primes, dtype=float)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * T)
-    if kind is KernelKind.GIRSANOV:
-        y = np.atleast_1d(m.flow(xs, -T))
-        if m.is_constant:
-            ratio = np.ones_like(xs)
-        else:
-            ratio = np.asarray(m.drift_at(y)) / np.asarray(m.drift_at(xs))
-        return norm * ratio[:, None] * np.exp(
-            -np.square(y[:, None] - xp[None, :]) / (2.0 * T)
-        )
-    if kind is KernelKind.EULER_MARUYAMA:
-        fp = np.broadcast_to(np.asarray(m.drift_at(xp), dtype=float), xp.shape)
-        return norm * np.exp(
-            -np.square(xs[:, None] - xp[None, :] - fp[None, :] * T) / (2.0 * T)
-        )
-    if kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
-        f, f1, _ = m.drift_jets(xs)
-        f = np.broadcast_to(np.asarray(f, dtype=float), xs.shape)
-        f1 = np.broadcast_to(np.asarray(f1, dtype=float), xs.shape)
-        return norm * np.exp(
-            -np.square(xs[:, None] - xp[None, :] - f[:, None] * T) / (2.0 * T)
-            - f1[:, None] * T
-        )
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+    """Kernel values on the product grid, shape (len(xs), len(x_primes)):
+    kernel_eval with xs as a column and x_primes as a row."""
+    return kernel_eval(kind, m, T, np.reshape(xs, (-1, 1)),
+                       np.reshape(x_primes, (1, -1)))
 
 
 def _integrate_kernel(kind, m, T, x_prime, lo, hi, n_panels):

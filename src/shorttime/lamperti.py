@@ -60,18 +60,19 @@ class LampertiMap:
     # -- effective drift ----------------------------------------------------
 
     def drift_at(self, x):
-        return self.drift(self.alpha + np.asarray(x, dtype=float)) \
-            if isinstance(x, np.ndarray) else self.drift(self.alpha + x)
+        """F(x) as a float array of x's shape (0-d for a scalar x)."""
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(
+            np.asarray(self.drift(self.alpha + x), dtype=float), x.shape)
 
     def drift_jets(self, x):
         """(F, F', F'') of the shifted drift at x."""
         return self.drift.jets(self.alpha + np.asarray(x, dtype=float))
 
     def _inv_drift(self, x):
-        f = self.drift(self.alpha + x)
-        f = np.broadcast_to(np.asarray(f, dtype=float), np.shape(x))
+        f = self.drift_at(x)
         if np.any(f <= 0.0):
-            bad = np.asarray(x)[np.asarray(f) <= 0.0]
+            bad = np.asarray(x)[f <= 0.0]
             raise LampertiError(
                 f"drift non-positive at x={float(bad.ravel()[0])!r}; "
                 "assumption violated on the traversed range"
@@ -126,9 +127,8 @@ class LampertiMap:
         if self.is_constant:
             if self._const <= 0.0:
                 raise LampertiError("constant drift must be positive for Lambda")
-            return (np.asarray(x, dtype=float) - self.reference_point) / self._const \
-                if isinstance(x, np.ndarray) else \
-                (float(x) - self.reference_point) / self._const
+            out = (np.asarray(x, dtype=float) - self.reference_point) / self._const
+            return out if isinstance(x, np.ndarray) else float(out)
         scalar = np.isscalar(x) or np.ndim(x) == 0
         xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         ref = self.reference_point
@@ -168,8 +168,7 @@ class LampertiMap:
             lam0 = np.broadcast_to(np.asarray(lam0, dtype=float), y.shape).copy().ravel()
 
         dy = y - lam0
-        f0 = np.asarray(self.drift_at(x0), dtype=float)
-        f0 = np.broadcast_to(f0, y.shape)
+        f0 = self.drift_at(x0)
         step = dy * f0  # first-order displacement guess
 
         lo = x0.copy()
@@ -223,9 +222,7 @@ class LampertiMap:
             pos = r > 0.0
             b[rest[pos]] = xr[pos]
             a[rest[~pos]] = xr[~pos]
-            fx = np.asarray(self.drift_at(xr), dtype=float)
-            fx = np.broadcast_to(fx, xr.shape)
-            xn = xr - r * fx
+            xn = xr - r * self.drift_at(xr)
             bad = (xn <= a[rest]) | (xn >= b[rest])
             xn[bad] = 0.5 * (a[rest][bad] + b[rest][bad])
             x[rest] = xn
@@ -256,3 +253,11 @@ class LampertiMap:
         if scalar:
             return float(out[0])
         return out.reshape(shape)
+
+    def transport(self, x, t):
+        """(y, dy/dx) for the backward flow y = phi_{-t}(x): dy/dx = F(y)/F(x),
+        exactly 1 for a constant drift (also f = 0, where it would be 0/0)."""
+        y = self.flow(x, -t)
+        if self.is_constant:
+            return y, 1.0
+        return y, self.drift_at(y) / self.drift_at(x)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .girsanov import chunk_rng
+from .girsanov import chunks
 
 _CHUNK = 1 << 16  # samples per derived seed; output independent of workers
 
@@ -33,16 +33,9 @@ def sample_crypto(m, x_prime, T, n, seed):
     if n < 1:
         raise ValueError("need at least one sample")
     sqrt_t = math.sqrt(T)
-    chunks = []
-    done = 0
-    idx = 0
-    while done < n:
-        k = min(_CHUNK, n - done)
-        g = chunk_rng(seed, idx).standard_normal(k)
-        chunks.append(np.atleast_1d(m.flow(x_prime + g * sqrt_t, T)))
-        done += k
-        idx += 1
-    return SampleSet(values=np.concatenate(chunks), horizon=float(T),
+    values = [m.flow(x_prime + rng.standard_normal(k) * sqrt_t, T)
+              for rng, k in chunks(n, _CHUNK, seed)]
+    return SampleSet(values=np.concatenate(values), horizon=float(T),
                      seed=int(seed), scheme="crypto")
 
 
@@ -54,20 +47,13 @@ def sample_em_path(m, x_prime, T, n_steps, n, seed):
         raise ValueError("need at least one step and one sample")
     dt = T / n_steps
     sqrt_dt = math.sqrt(dt)
-    chunks = []
-    done = 0
-    idx = 0
-    while done < n:
-        k = min(_CHUNK, n - done)
-        rng = chunk_rng(seed, idx)
+    values = []
+    for rng, k in chunks(n, _CHUNK, seed):
         x = np.full(k, float(x_prime))
         for _ in range(n_steps):
-            f = np.broadcast_to(np.asarray(m.drift_at(x), dtype=float), x.shape)
-            x = x + f * dt + sqrt_dt * rng.standard_normal(k)
-        chunks.append(x)
-        done += k
-        idx += 1
-    return SampleSet(values=np.concatenate(chunks), horizon=float(T),
+            x = x + m.drift_at(x) * dt + sqrt_dt * rng.standard_normal(k)
+        values.append(x)
+    return SampleSet(values=np.concatenate(values), horizon=float(T),
                      seed=int(seed), scheme="euler_maruyama_path")
 
 

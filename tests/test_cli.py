@@ -178,9 +178,41 @@ def _sha256(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
+_GRID = {"x_min": -5.0, "x_max": 7.0, "n_points": 241}
+
+
+def _transport_cases(drift, digests):
+    """density (all kinds, with and without a law), 8-slice compose for three
+    kinds, and CSV samples from both schemes, all on one drift.  digests
+    holds one tuple per case, one sha256 per artifact name, in the order
+    below."""
+    base = {"drift": drift, "T": 0.1, "x_prime": 0.25, "grid": _GRID}
+    law = {"atoms": [[0.0, 0.25], [0.5, 0.75]]}
+    compose = ("compose.csv", "compose_meta.json")
+    cfgs = [
+        ("density", dict(base, kind="all"), ("density.csv",)),
+        ("density", dict(base, kind="all", law=law), ("density.csv",)),
+    ] + [
+        ("compose", dict(base, T=0.4, n_slices=8, kind=k), compose)
+        for k in ("girsanov", "euler_maruyama", "backward_euler")
+    ] + [
+        ("sample", dict(base, sample={"n": 3000, "scheme": "crypto",
+                                      "seed": 4, "output": "csv"}),
+         ("samples.csv",)),
+        ("sample", dict(base, sample={"n": 500, "n_steps": 16, "seed": 4,
+                                      "scheme": "euler_maruyama_path",
+                                      "output": "csv"}), ("samples.csv",)),
+    ]
+    assert len(digests) == len(cfgs)
+    return [(command, cfg, dict(zip(names, digest)))
+            for (command, cfg, names), digest in zip(cfgs, digests)]
+
+
 class TestPinnedArtifacts:
     """Artifact digests taken before the Monte Carlo pass served all p at
-    once; the one-pass estimator and the flow guards must reproduce them."""
+    once (the first five cases) and before the kernels, the Girsanov stand-in
+    and the Liouville density shared one transport step (the rest); every
+    refactor since must reproduce them."""
 
     CASES = [
         ("girsanov-error", {
@@ -214,6 +246,35 @@ class TestPinnedArtifacts:
                          20.0, 1000.0],
         }, {"flow.csv":
             "7df340ce4291f66f73dfe8e6b9e8ad1aa361ed7dbcb3f96e71222eef828b60b2"}),
+    ] + _transport_cases(COS, [
+        ("a1915f75a5825884f80629344fff28ed16dbea9db71ae39f52ee31d644dedcab",),
+        ("3da307861803843f7a763cab614d2dcef98f916cb277788ecf2d84a628a50fb3",),
+        ("0818523e0dc3936f1495171e8420ecf9668a183eee61e9080e89690cc72612f2",
+         "e4e9698a82e6626a3bc309b4b08d064ed2a6304688fcda5df349b540998e925f"),
+        ("916ce65f815838f60c7e0d7c5960abbba9d1403d31828aa24752744b6a57ba97",
+         "12f56d7f520ad15fbab4876c381153e866ea9d160134f5772feda0015f5a5ffc"),
+        ("50ee0a1d4cd1076ac10786c106fdd0e0270cf048f04937e0ca65afc2ad9ca746",
+         "5b582fa54cd4249d628100ad9c42288e8afec4db97b75f4b18c579ac3d742294"),
+        ("196922f4df57b7fa8652f20a1718639de53a0fcaec7ce9b4838ef6070e695ef6",),
+        ("2af90c9ab1cd082558a309da9fecbd7020586a49cd77de06d4cf375ed6d7975a",),
+    ]) + _transport_cases({"expr": "1"}, [
+        ("087c2dc6f1a7bac32def3a80ef2de26893b34002719e7de4aeb444adea33f80d",),
+        ("2d876f8b646fdedd588a4ffb845e011b906326c23f80804a4c5593f8878e0888",),
+        ("b1382a1eb08ed9cb664932314bb33536a069346257764a3d6866b508bc887883",
+         "6b00238722de7c7e24af3eedeb53c49688a11e504ab8989c387465a4c08489fb"),
+        ("bd694e94955ea6a035f57dec9927cc3b129d71e9ad07838f1713c6be46f21641",
+         "d33d1609cdd7a76b7f7b2c337666fd9627c1d04337e384496e41e58311cd5908"),
+        ("bd694e94955ea6a035f57dec9927cc3b129d71e9ad07838f1713c6be46f21641",
+         "16281fa50066d24bb31f893f284ff777f7f6600ef59fc2bb471fb371a9a9e4c6"),
+        ("4e4772521f3bf02ed5fc4d2c46904a20b1e5aab426d84ad7f74db714835d68a9",),
+        ("92cf448dad535010d9e8529829cb7e761b3bcf579f99b1d5cf11905f5d28d080",),
+    ]) + [
+        # F(y)/F(x) would be 0/0 here; the constant drift's ratio is 1
+        ("density", {
+            "drift": {"expr": "0"}, "T": 0.1, "x_prime": 0.25,
+            "kind": "girsanov", "grid": _GRID,
+        }, {"density.csv":
+            "9b051681e0fadba3131de36d26a21f74c140324d06362c3c192f663cda8f1e51"}),
     ]
 
     @pytest.mark.parametrize("command,cfg,digests", CASES,
@@ -344,3 +405,43 @@ class TestDeterminismAndErrors:
         code, _ = run(capsys, "flow", "--config", cfg)
         assert code == 0
         assert (env_dir / "flow.csv").exists()
+
+
+class TestNonFiniteConfig:
+    """json reads NaN, Infinity and 1e999 as floats; each must exit 2 before
+    any artifact is written."""
+
+    BASE = {"drift": COS, "T": 0.1, "x_prime": 0.0,
+            "grid": {"x_min": -4.0, "x_max": 5.0, "n_points": 101}}
+
+    @pytest.mark.parametrize("cfg", [
+        dict(BASE, T=math.nan, kind="euler_maruyama"),
+        dict(BASE, law={"atoms": [[0.0, math.nan]]}),
+        dict(BASE, x_prime=math.nan, kind="girsanov"),
+        dict(BASE, T=-math.inf),
+    ], ids=["T_nan", "law_nan", "x_prime_nan", "T_minus_inf"])
+    def test_config_file(self, cfg, tmp_path, capsys):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        code, payload = run(capsys, "density", "--config", path,
+                            "--out-dir", str(tmp_path))
+        assert code == 2
+        assert payload["error"]["kind"] == "config"
+        assert "non-finite" in payload["error"]["message"]
+        assert not (tmp_path / "density.csv").exists()
+
+    def test_overflowing_literal(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.BASE).replace('"T": 0.1', '"T": 1e999'))
+        code, payload = run(capsys, "density", "--config", str(path),
+                            "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "1e999" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("override", ["T=Infinity", "T=NaN", "T=1e999"])
+    def test_set_override(self, override, tmp_path, capsys):
+        path = write_cfg(tmp_path, "c.json", self.BASE)
+        code, payload = run(capsys, "density", "--config", path,
+                            "--out-dir", str(tmp_path), "--set", override)
+        assert code == 2
+        assert payload["error"]["kind"] == "config"
+        assert not (tmp_path / "density.csv").exists()

@@ -329,3 +329,6 @@ class TestMCConfig:
             MCConfig(n_paths=10, n_steps=0, base_seed=0)
         with pytest.raises(ValueError):
             MCConfig(n_paths=10, n_steps=8, base_seed=0, p=0.5)
+        for p in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="p must be finite"):
+                MCConfig(n_paths=10, n_steps=8, base_seed=0, p=p)

@@ -96,15 +96,15 @@ class TestKernelEval:
 
 class TestKernelMatrix:
     def test_matches_pointwise_eval(self):
-        m = LampertiMap(TWO_PLUS_COS)
         xs = np.linspace(-1.0, 2.0, 7)
         xps = np.linspace(-0.5, 0.5, 5)
-        for kind in KernelKind:
-            mat = kernel_matrix(m, kind, 0.2, xs, xps)
-            assert mat.shape == (7, 5)
-            for j, xp in enumerate(xps):
-                col = kernel_eval(kind, m, 0.2, xs, xp)
-                assert np.allclose(mat[:, j], col, rtol=1e-13)
+        for m in (LampertiMap(TWO_PLUS_COS), LampertiMap(parse_drift("1"))):
+            for kind in KernelKind:
+                mat = kernel_matrix(m, kind, 0.2, xs, xps)
+                assert mat.shape == (7, 5)
+                for j, xp in enumerate(xps):
+                    col = kernel_eval(kind, m, 0.2, xs, xp)
+                    assert np.array_equal(mat[:, j], col)
 
 
 class TestNormalization:
@@ -141,6 +141,10 @@ class TestInitialLawAndGrid:
             InitialLaw(atoms=((0.0, 0.7), (1.0, 0.4)))
         with pytest.raises(ValueError):
             InitialLaw(atoms=((0.0, -0.2), (1.0, 1.2)))
+        for atoms in (((math.nan, 1.0),), ((0.0, 0.5), (1.0, math.nan)),
+                      ((math.inf, 1.0),), ((0.0, math.inf),)):
+            with pytest.raises(ValueError, match="finite"):
+                InitialLaw(atoms=atoms)
 
     def test_grid_validation(self):
         g = GridSpec(-1.0, 1.0, 5)

@@ -157,6 +157,32 @@ class TestFlow:
         assert m.flow(xs, 0.1).shape == (2, 3)
 
 
+class TestTransport:
+    @pytest.mark.parametrize("c", [2.5, 1.0, 0.0])
+    def test_constant_drift_shifts_with_unit_ratio(self, c):
+        m = LampertiMap(parse_drift(repr(c)))
+        xs = np.linspace(-3.0, 3.0, 13)
+        y, ratio = m.transport(xs, 0.4)
+        assert ratio == 1.0
+        assert np.array_equal(y, xs - c * 0.4)
+
+    def test_ratio_is_drift_quotient(self):
+        m = LampertiMap(TWO_PLUS_COS, alpha=0.3)
+        xs = np.linspace(-3.0, 3.0, 13).reshape(13, 1)
+        y, ratio = m.transport(xs, 0.4)
+        assert y.shape == ratio.shape == (13, 1)
+        assert np.array_equal(y, m.flow(xs, -0.4))
+        assert np.array_equal(ratio, (2.0 + np.cos(0.3 + y))
+                              / (2.0 + np.cos(0.3 + xs)))
+
+    def test_drift_at_keeps_the_shape(self):
+        for text in ("2 + cos(x)", "1"):
+            m = LampertiMap(parse_drift(text))
+            assert m.drift_at(np.zeros((2, 3))).shape == (2, 3)
+            assert m.drift_at(0.0).shape == ()
+            assert m.drift_at(0.0).dtype == float
+
+
 # Runs one flow call in a fresh interpreter whose own address space is capped
 # at what the imports took plus 256 MB; prints the error type and seconds.
 _GUARD_PROBE = """
