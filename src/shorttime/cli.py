@@ -22,11 +22,6 @@ from .evolution import BoundaryError, CompositionPlan, GridMismatchError, Instab
 from .kernels import GridSpec, InitialLaw, KernelKind, TailMassError
 from .lamperti import LampertiError, LampertiMap
 
-COMMANDS = (
-    "validate", "flow", "density", "girsanov-error", "rate",
-    "compose", "fp-solve", "sample",
-)
-
 _DOMAIN_ERRORS = (
     DriftError, LampertiError, TailMassError, BoundaryError,
     GridMismatchError, InstabilityError,
@@ -41,10 +36,37 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _require(cfg, key):
-    if key not in cfg:
+def _require(cfg, key, default=None):
+    """cfg[key]; without it, the default, or ConfigError if there is none."""
+    if key not in cfg and default is None:
         raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
+    return cfg.get(key, default)
+
+
+def _number(v, key, count=False):
+    """The one reader of config numbers: v as a float (an int for a count),
+    refusing strings, booleans, non-finite values, integers past the float
+    range and fractional counts."""
+    try:
+        ok = not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok or count and v != int(v):
+        raise ConfigError(f"{key!r} must be a finite "
+                          f"{'whole ' if count else ''}JSON number, got {v!r}")
+    return int(v) if count else float(v)
+
+
+def _num(cfg, key, default=None, count=False):
+    return _number(_require(cfg, key, default), key, count)
+
+
+def _nums(cfg, key, default=None, n=None):
+    """The list of numbers at cfg[key]; n, if given, is its length."""
+    v = _require(cfg, key, default)
+    if not isinstance(v, list) or len(v) != (n or len(v)):
+        raise ConfigError(f"{key!r} must be a list of {n or 'finite'} numbers")
+    return [_number(e, key) for e in v]
 
 
 def _finite_float(text):
@@ -63,7 +85,7 @@ def _load_config(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh, **_JSON_HOOKS)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -75,12 +97,6 @@ def _config_hash(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _out_dir(cfg):
-    d = cfg.get("out_dir") or os.environ.get("SHORTTIME_OUT_DIR") or "."
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
 def _build_drift(cfg):
     dcfg = _require(cfg, "drift")
     if not isinstance(dcfg, dict):
@@ -90,23 +106,25 @@ def _build_drift(cfg):
 
 def _map_kwargs(cfg):
     return {
-        "alpha": float(cfg.get("alpha", 0.0)),
-        "quad_tol": float(cfg.get("quad_tol", 1e-10)),
-        "root_tol": float(cfg.get("root_tol", 1e-10)),
-        "reference_point": float(cfg.get("reference_point", 0.0)),
+        "alpha": _num(cfg, "alpha", 0.0),
+        "quad_tol": _num(cfg, "quad_tol", 1e-10),
+        "root_tol": _num(cfg, "root_tol", 1e-10),
+        "reference_point": _num(cfg, "reference_point", 0.0),
     }
+
+
+def _assumption(cfg, d):
+    """The drift-positivity scan that validate and the epsilon gate share."""
+    return drift_mod.validate_assumption(
+        d, _nums(cfg, "scan_range", n=2), _num(cfg, "epsilon"),
+        _num(cfg, "scan_points", 2001, count=True))
 
 
 def _build_map(cfg, d=None):
     d = d if d is not None else _build_drift(cfg)
     m = LampertiMap(d, **_map_kwargs(cfg))
     if not cfg.get("assume_valid", False) and "epsilon" in cfg:
-        report = drift_mod.validate_assumption(
-            d,
-            _require(cfg, "scan_range"),
-            float(cfg["epsilon"]),
-            int(cfg.get("scan_points", 2001)),
-        )
+        report = _assumption(cfg, d)
         if not report.passed:
             raise DriftError(
                 f"drift failed the bound check: min f = {report.f_min} <= "
@@ -118,7 +136,8 @@ def _build_map(cfg, d=None):
 
 def _grid(cfg):
     g = _require(cfg, "grid")
-    return GridSpec(float(g["x_min"]), float(g["x_max"]), int(g["n_points"]))
+    return GridSpec(_num(g, "x_min"), _num(g, "x_max"),
+                    _num(g, "n_points", count=True))
 
 
 def _kinds(cfg):
@@ -147,13 +166,7 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(cfg, out):
-    d = _build_drift(cfg)
-    report = drift_mod.validate_assumption(
-        d,
-        _require(cfg, "scan_range"),
-        float(_require(cfg, "epsilon")),
-        int(cfg.get("scan_points", 2001)),
-    )
+    report = _assumption(cfg, _build_drift(cfg))
     path = os.path.join(out, "validate_report.json")
     _write_json(path, {
         "f_min": report.f_min, "f_max": report.f_max,
@@ -166,9 +179,9 @@ def _cmd_validate(cfg, out):
 
 def _cmd_flow(cfg, out):
     m = _build_map(cfg)
-    t = float(_require(cfg, "t"))
-    xs = np.asarray(_require(cfg, "x_values"), dtype=float)
-    ys = np.atleast_1d(m.flow(xs, t))
+    t = _num(cfg, "t")
+    xs = np.asarray(_nums(cfg, "x_values"))
+    ys = m.flow(xs, t)
     path = os.path.join(out, "flow.csv")
     _write_csv(path, ["x", "flow"], zip(xs, ys))
     return [path], {"t": t}
@@ -177,13 +190,15 @@ def _cmd_flow(cfg, out):
 def _cmd_density(cfg, out):
     d = _build_drift(cfg)
     m = _build_map(cfg, d)
-    T = float(_require(cfg, "T"))
+    T = _num(cfg, "T")
     grid = _grid(cfg)
     kinds = _kinds(cfg)
     xs = grid.points()
     law = None
     if "law" in cfg:
-        law = InitialLaw(tuple((a, w) for a, w in cfg["law"]["atoms"]))
+        law = InitialLaw(tuple(
+            (_number(a, "law.atoms"), _number(w, "law.atoms"))
+            for a, w in cfg["law"]["atoms"]))
     cols = []
     defects = {}
     for kind in kinds:
@@ -193,11 +208,11 @@ def _cmd_density(cfg, out):
                       if k != "alpha"}
             vals = kernels.marginal_density(kind, d, law, T, xs, **kwargs)
         else:
-            xp = float(_require(cfg, "x_prime"))
+            xp = _num(cfg, "x_prime")
             vals = kernels.kernel_eval(kind, m, T, xs, xp)
             defects[kind.value] = kernels.normalization_defect(
                 kind, m, T, xp, grid)
-        cols.append(np.asarray(vals))
+        cols.append(vals)
     path = os.path.join(out, "density.csv")
     _write_csv(path, ["x"] + [k.value for k in kinds],
                zip(xs, *cols))
@@ -207,15 +222,16 @@ def _cmd_density(cfg, out):
 def _mc_config(cfg):
     mc = _require(cfg, "mc")
     return girsanov.MCConfig(
-        n_paths=int(mc["n_paths"]), n_steps=int(mc["n_steps"]),
-        base_seed=int(mc["base_seed"]),
+        n_paths=_num(mc, "n_paths", count=True),
+        n_steps=_num(mc, "n_steps", count=True),
+        base_seed=_num(mc, "base_seed", count=True),
     )
 
 
 def _cmd_girsanov_error(cfg, out):
     m = _build_map(cfg)
-    T = float(_require(cfg, "T"))
-    p_values = [float(p) for p in cfg.get("p_values", [2.0])]
+    T = _num(cfg, "T")
+    p_values = _nums(cfg, "p_values", [2.0])
     ests = girsanov.lp_errors(m, T, _mc_config(cfg), p_values)
     rows = [(T, p, e.mean, e.std_error) for p, e in zip(p_values, ests)]
     path = os.path.join(out, "errors.csv")
@@ -225,8 +241,8 @@ def _cmd_girsanov_error(cfg, out):
 
 def _cmd_rate(cfg, out):
     m = _build_map(cfg)
-    t_grid = [float(t) for t in _require(cfg, "T_grid")]
-    p_values = [float(p) for p in cfg.get("p_values", [1.0, 2.0])]
+    t_grid = _nums(cfg, "T_grid")
+    p_values = _nums(cfg, "p_values", [1.0, 2.0])
     mc = _mc_config(cfg)
     # one common-path pass per T serves every p; rows stay p-major
     per_t = [girsanov.lp_errors(m, T, mc, p_values) for T in t_grid]
@@ -249,19 +265,19 @@ def _cmd_compose(cfg, out):
     m = _build_map(cfg)
     grid = _grid(cfg)
     plan = CompositionPlan(
-        total_time=float(_require(cfg, "T")),
-        n_slices=int(_require(cfg, "n_slices")),
+        total_time=_num(cfg, "T"),
+        n_slices=_num(cfg, "n_slices", count=True),
         grid=grid,
         kind=_kinds(cfg)[0],
     )
-    xp = float(_require(cfg, "x_prime"))
+    xp = _num(cfg, "x_prime")
     dens = evolution.compose_chapman(m, plan, xp)
     meta = {"mass": dens.mass(), "n_slices": plan.n_slices,
             "kind": plan.kind.value}
     if cfg.get("compare_to_oracle", False):
         oracle = evolution.solve_fokker_planck(
             m, plan.total_time, xp, grid,
-            int(cfg.get("n_time_steps", 2000)))
+            _num(cfg, "n_time_steps", 2000, count=True))
         meta["distance_to_oracle"] = evolution.density_distance(
             dens, oracle, "L1")
     csv_path = os.path.join(out, "compose.csv")
@@ -274,10 +290,9 @@ def _cmd_compose(cfg, out):
 def _cmd_fp_solve(cfg, out):
     m = _build_map(cfg)
     grid = _grid(cfg)
-    steps = int(cfg.get("n_time_steps", 2000))
+    steps = _num(cfg, "n_time_steps", 2000, count=True)
     dens = evolution.solve_fokker_planck(
-        m, float(_require(cfg, "T")), float(_require(cfg, "x_prime")),
-        grid, steps)
+        m, _num(cfg, "T"), _num(cfg, "x_prime"), grid, steps)
     csv_path = os.path.join(out, "fp.csv")
     _write_csv(csv_path, ["x", "density"], zip(grid.points(), dens.values))
     meta = {"mass": dens.mass(), "n_time_steps": steps}
@@ -289,15 +304,16 @@ def _cmd_fp_solve(cfg, out):
 def _cmd_sample(cfg, out):
     m = _build_map(cfg)
     scfg = _require(cfg, "sample")
-    T = float(_require(cfg, "T"))
-    xp = float(_require(cfg, "x_prime"))
-    n = int(scfg["n"])
-    seed = int(scfg.get("seed", cfg.get("seed", 0)))
+    T = _num(cfg, "T")
+    xp = _num(cfg, "x_prime")
+    n = _num(scfg, "n", count=True)
+    seed = _num(scfg, "seed", cfg.get("seed", 0), count=True)
     scheme = scfg.get("scheme", "crypto")
     if scheme == "crypto":
         s = sampler.sample_crypto(m, xp, T, n, seed)
     elif scheme == "euler_maruyama_path":
-        s = sampler.sample_em_path(m, xp, T, int(scfg["n_steps"]), n, seed)
+        steps = _num(scfg, "n_steps", count=True)
+        s = sampler.sample_em_path(m, xp, T, steps, n, seed)
     else:
         raise ConfigError(f"unknown sampling scheme {scheme!r}")
     outputs = []
@@ -336,7 +352,8 @@ def run_command(command, cfg, out_dir=None):
     """Dispatch one command; returns the manifest dict."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
-    out = out_dir if out_dir is not None else _out_dir(cfg)
+    out = (out_dir or cfg.get("out_dir") or os.environ.get("SHORTTIME_OUT_DIR")
+           or ".")
     os.makedirs(out, exist_ok=True)
     outputs, extra = _HANDLERS[command](cfg, out)
     manifest = {
@@ -355,7 +372,7 @@ def main(argv=None):
         description="Short-time transition-density experiments for 1-D "
                     "Langevin SDEs.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out-dir", default=None,
                         help="output directory (default: config out_dir, "
@@ -372,7 +389,7 @@ def main(argv=None):
             key, _, raw = item.partition("=")
             try:
                 cfg[key] = json.loads(raw, **_JSON_HOOKS)
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON (or an integer past 4300 digits)
                 cfg[key] = raw
         manifest = run_command(args.command, cfg, args.out_dir)
     except (ConfigError, KeyError, TypeError) as exc:

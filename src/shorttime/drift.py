@@ -9,6 +9,7 @@ f, f' and f'' come out of a single pass with no finite differencing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ class DriftDomainError(DriftError):
 
 
 _FUNCTIONS = ("sin", "cos", "exp", "tanh")
+_MAX_DEPTH = 100  # AST nesting, far inside the recursive evaluator's stack
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +49,8 @@ class Jet2:
 
     @staticmethod
     def variable(x):
-        one = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-        zero = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-        return Jet2(x, one, zero)
+        zero = _zeros_like(x)
+        return Jet2(x, zero + 1.0, zero)
 
     def __add__(self, o):
         return Jet2(self.f + o.f, self.f1 + o.f1, self.f2 + o.f2)
@@ -65,8 +66,6 @@ class Jet2:
         )
 
     def __truediv__(self, o):
-        if np.any(o.f == 0.0):
-            raise DriftDomainError("division by zero")
         q = self.f / o.f
         q1 = (self.f1 - q * o.f1) / o.f
         q2 = (self.f2 - 2.0 * q1 * o.f1 - q * o.f2) / o.f
@@ -112,14 +111,26 @@ def _zeros_like(v):
 
 
 def _promote(lhs, rhs):
-    """Lift a plain number to a constant jet next to a Jet2 operand."""
+    """Lift a plain number to a constant jet next to a Jet2 operand (zeros,
+    not 0 * f, so an overflowed f = inf does not turn the constant to nan)."""
     if isinstance(lhs, Jet2) and not isinstance(rhs, Jet2):
-        zero = 0.0 * lhs.f
+        zero = _zeros_like(lhs.f)
         rhs = Jet2(rhs + zero, zero, zero)
     elif isinstance(rhs, Jet2) and not isinstance(lhs, Jet2):
-        zero = 0.0 * rhs.f
+        zero = _zeros_like(rhs.f)
         lhs = Jet2(lhs + zero, zero, zero)
     return lhs, rhs
+
+
+def _div(lhs, rhs):
+    if np.any((rhs.f if isinstance(rhs, Jet2) else rhs) == 0.0):
+        raise DriftDomainError("division by zero")
+    return lhs / rhs
+
+
+# add, sub, mul and div for floats, arrays and jets alike, after _promote
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": _div}
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +269,15 @@ class _Parser:
         raise DriftParseError(f"unexpected token {value!r}", pos)
 
 
+def _depth(node):
+    """Nesting depth of an AST, found level by level without recursion."""
+    level, depth = [node], 0
+    while level:
+        level = [c for n in level for c in n[1:] if isinstance(c, tuple)]
+        depth += 1
+    return depth
+
+
 def _contains_x(node):
     if node[0] == "x":
         return True
@@ -272,27 +292,9 @@ def _eval_ast(node, x):
         return x
     if kind == "neg":
         return -_eval_ast(node[1], x)
-    if kind in ("add", "sub", "mul", "div"):
-        lhs = _eval_ast(node[1], x)
-        rhs = _eval_ast(node[2], x)
-        if isinstance(lhs, Jet2) or isinstance(rhs, Jet2):
-            lhs, rhs = _promote(lhs, rhs)
-            if kind == "add":
-                return lhs + rhs
-            if kind == "sub":
-                return lhs - rhs
-            if kind == "mul":
-                return lhs * rhs
-            return lhs / rhs
-        if kind == "add":
-            return lhs + rhs
-        if kind == "sub":
-            return lhs - rhs
-        if kind == "mul":
-            return lhs * rhs
-        if np.any(rhs == 0.0):
-            raise DriftDomainError("division by zero")
-        return lhs / rhs
+    if kind in _BINARY:
+        lhs, rhs = _promote(_eval_ast(node[1], x), _eval_ast(node[2], x))
+        return _BINARY[kind](lhs, rhs)
     if kind == "pow":
         base = _eval_ast(node[1], x)
         n = node[2]
@@ -381,8 +383,12 @@ BUILTINS = {
 
 def parse_drift(source):
     """Parse an expression in the variable x into a DriftExpr."""
-    tokens = _tokenize(source)
-    ast = _Parser(tokens).parse()
+    try:
+        ast = _Parser(_tokenize(source)).parse()
+    except RecursionError:  # the parser's own stack: nesting far past the cap
+        ast = None
+    if ast is None or _depth(ast) > _MAX_DEPTH:
+        raise DriftParseError(f"nested deeper than {_MAX_DEPTH} levels", 0)
     return DriftExpr(ast=ast, source_text=source)
 
 

@@ -12,7 +12,8 @@ import numpy as np
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
-from .kernels import KernelKind, kernel_matrix
+from .kernels import KernelKind, _check_tails, kernel_matrix
+from .lamperti import _check_horizon, _result
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -47,8 +48,7 @@ class CompositionPlan:
     kind: KernelKind
 
     def __post_init__(self):
-        if self.total_time <= 0.0:
-            raise ValueError("total_time must be positive")
+        _check_horizon(self.total_time)
         if self.n_slices < 1:
             raise ValueError("need at least one slice")
 
@@ -62,14 +62,10 @@ def liouville_density(m, t, T, x, x_prime):
 
     At t = T this coincides with the girsanov short-time kernel.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if not 0.0 <= t <= T:
-        raise ValueError("need 0 <= t <= T")
-    y, ratio = m.transport(np.asarray(x, dtype=float), t)
+    _check_horizon(T, t)
+    y, ratio = m.transport(x, t)
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
-    out = ratio * norm * np.exp(-np.square(y - x_prime) / (2.0 * T))
-    return float(out) if np.ndim(out) == 0 else out
+    return _result(ratio * norm * np.exp(-np.square(y - x_prime) / (2.0 * T)))
 
 
 def _trapezoid_weights(grid):
@@ -77,16 +73,6 @@ def _trapezoid_weights(grid):
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def _check_boundary(values, label):
-    peak = float(np.max(values))
-    if peak <= 0.0:
-        raise BoundaryError(f"{label}: density vanished on the grid")
-    if values[0] > 1e-10 * peak or values[-1] > 1e-10 * peak:
-        raise BoundaryError(
-            f"{label}: boundary density above 1e-10 of the peak; widen the grid"
-        )
 
 
 def compose_chapman(m, plan, x_prime):
@@ -98,14 +84,15 @@ def compose_chapman(m, plan, x_prime):
     xs = plan.grid.points()
     tau = plan.tau
     p = kernel_matrix(m, plan.kind, tau, xs, np.array([x_prime]))[:, 0]
-    _check_boundary(p, "compose_chapman first slice")
+    _check_tails(p, 1e-10, BoundaryError,
+                 "compose_chapman first slice: density")
     if plan.n_slices > 1:
         k = kernel_matrix(m, plan.kind, tau, xs, xs)
         w = _trapezoid_weights(plan.grid)
         kw = k * w[None, :]
         for _ in range(plan.n_slices - 1):
             p = kw @ p
-    _check_boundary(p, "compose_chapman result")
+    _check_tails(p, 1e-10, BoundaryError, "compose_chapman result: density")
     return GridDensity(grid=plan.grid, values=p, time=plan.total_time)
 
 
@@ -121,8 +108,7 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
     tolerances.  The spatial operator is in conservative flux form, so grid
     mass is constant up to solver roundoff.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    _check_horizon(T)
     if n_time_steps < 1:
         raise ValueError("need at least one time step")
     xs = grid.points()

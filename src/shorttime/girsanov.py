@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lamperti import _check_horizon, _result
+
 _CHUNK = 2048  # paths per RNG chunk; fixes seeding independent of workers
 
 
@@ -102,14 +104,11 @@ def u_eval(m, t, x, T):
     u(t, x) = (F(y)/F(x)) * exp(-(y^2 - x^2)/(2T)) with y the backward flow
     of x over time t; u(0, x) = 1.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    if not 0.0 <= t <= T:
-        raise ValueError("need 0 <= t <= T")
+    _check_horizon(T, t)
     x = np.asarray(x, dtype=float)
     y, ratio = m.transport(x, t)
     out = ratio * np.exp(-((np.square(y) - np.square(x)) / (2.0 * T)))
-    return float(out) if np.ndim(out) == 0 else out
+    return _result(out)
 
 
 def approx_exponential(m, b_T, T):
@@ -123,12 +122,11 @@ def approx_exponential_euler(m, b_T, T):
     exp{-(1/2T)[(B_T - F(0) T)^2 - B_T^2]} = exp{F(0) B_T - F(0)^2 T / 2};
     coincides with approx_exponential for constant drift.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    _check_horizon(T)
     b = np.asarray(b_T, dtype=float)
     c = float(m.drift_at(0.0))
     out = np.exp(-((np.square(b - c * T) - np.square(b)) / (2.0 * T)))
-    return float(out) if np.ndim(out) == 0 else out
+    return _result(out)
 
 
 def lp_error(m, T, cfg):
@@ -147,6 +145,7 @@ def lp_errors(m, T, cfg, p_values):
     so each estimate equals a separate pass at that p bit for bit (cfg.p
     itself is not used).
     """
+    _check_horizon(T)
     p_values = [float(p) for p in p_values]
     for p in p_values:
         if not (math.isfinite(p) and p >= 1.0):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lamperti import _GL16_W, _GL16_X, LampertiMap
+from .lamperti import _GL16_W, _GL16_X, LampertiMap, _check_horizon, _result
 
 
 class TailMassError(Exception):
@@ -50,8 +50,8 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError("x_min must be below x_max")
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise ValueError("need finite x_min below x_max")
         if self.n_points < 2:
             raise ValueError("need at least 2 grid points")
 
@@ -75,8 +75,7 @@ def kernel_eval(kind, m, T, x, x_prime):
     The flow and the jets depend on x only and the euler_maruyama drift on x'
     only, so on a product grid each runs once per point, not once per cell.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    _check_horizon(T)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(x_prime, dtype=float)
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
@@ -91,7 +90,7 @@ def kernel_eval(kind, m, T, x, x_prime):
         out = norm * np.exp(-np.square(x - xp - f * T) / (2.0 * T) - f1 * T)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    return float(out) if np.ndim(out) == 0 else out
+    return _result(out)
 
 
 def kernel_matrix(m, kind, T, xs, x_primes):
@@ -110,21 +109,24 @@ def _integrate_kernel(kind, m, T, x_prime, lo, hi, n_panels):
     return float(half * np.sum(vals @ _GL16_W))
 
 
+def _check_tails(values, rel, error, label):
+    """Raise error unless both end values are at most rel times the peak."""
+    peak = float(np.max(values))
+    if peak <= 0.0:
+        raise error(f"{label} vanished on the whole grid")
+    if values[0] > rel * peak or values[-1] > rel * peak:
+        raise error(f"{label} boundary values exceed {rel:g} of the peak; "
+                    "widen the grid")
+
+
 def normalization_defect(kind, m, T, x_prime, grid, tol=1e-10):
     """integral of the kernel over the grid range, minus 1.
 
     Guarded: boundary kernel values must be below 1e-12 of the peak so the
     truncated tail cannot hide in the defect.
     """
-    xs = grid.points()
-    vals = np.asarray(kernel_eval(kind, m, T, xs, x_prime))
-    peak = float(np.max(vals))
-    if peak <= 0.0:
-        raise TailMassError("kernel vanished on the whole grid")
-    if vals[0] > 1e-12 * peak or vals[-1] > 1e-12 * peak:
-        raise TailMassError(
-            "kernel boundary values exceed 1e-12 of the peak; widen the grid"
-        )
+    _check_tails(kernel_eval(kind, m, T, grid.points(), x_prime), 1e-12,
+                 TailMassError, "kernel")
     n_panels = max(grid.n_points // 8, 64)
     coarse = _integrate_kernel(kind, m, T, x_prime, grid.x_min, grid.x_max,
                                n_panels)
@@ -145,11 +147,10 @@ def marginal_density(kind, drift, law, T, x, **map_kwargs):
     coordinate x - a_j), which matches evaluating an unshifted kernel at
     x' = a_j exactly.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    _check_horizon(T)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x, dtype=float)
     for a, w in law.atoms:
         m = LampertiMap(drift, alpha=a, **map_kwargs)
-        out = out + w * np.asarray(kernel_eval(kind, m, T, x - a, 0.0))
-    return float(out) if np.ndim(out) == 0 else out
+        out = out + w * kernel_eval(kind, m, T, x - a, 0.0)
+    return _result(out)

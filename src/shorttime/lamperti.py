@@ -7,6 +7,8 @@ Lambda^{-1}(Lambda(.) +/- t), which is invariant under that normalization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .drift import DriftDomainError
@@ -33,11 +35,26 @@ _MAX_BRACKET_DOUBLINGS = 80
 _MAX_NEWTON = 100
 
 
-def _require_finite(name, v):
+def _floats(name, v):
+    """v as a float array; LampertiError on a non-finite entry."""
     v = np.asarray(v, dtype=float)
     finite = np.isfinite(v)
     if not np.all(finite):
         raise LampertiError(f"non-finite {name}={float(v[~finite][0])!r}")
+    return v
+
+
+def _result(out):
+    """The numeric core's return policy: a float if 0-d, else the array."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _check_horizon(T, t=None):
+    """ValueError unless T is finite and positive and, given t, 0 <= t <= T."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
+    if t is not None and not 0.0 <= t <= T:
+        raise ValueError(f"need 0 <= t <= T, got t={t!r}")
 
 
 class LampertiMap:
@@ -72,9 +89,8 @@ class LampertiMap:
     def _inv_drift(self, x):
         f = self.drift_at(x)
         if np.any(f <= 0.0):
-            bad = np.asarray(x)[f <= 0.0]
             raise LampertiError(
-                f"drift non-positive at x={float(bad.ravel()[0])!r}; "
+                f"drift non-positive at x={float(x[f <= 0.0][0])!r}; "
                 "assumption violated on the traversed range"
             )
         return 1.0 / f
@@ -83,8 +99,6 @@ class LampertiMap:
 
     def _segment_integrals(self, a, b):
         """Integral of 1/F over each [a_i, b_i] (a_i <= b_i), adaptively."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
         total = np.zeros_like(a)
         idx = np.arange(a.size)
         lo, hi = a.copy(), b.copy()
@@ -121,51 +135,40 @@ class LampertiMap:
 
     # -- Lambda and its inverse --------------------------------------------
 
+    def _rate(self):
+        """The constant drift, which Lambda needs positive."""
+        if self._const <= 0.0:
+            raise LampertiError("constant drift must be positive for Lambda")
+        return self._const
+
     def lambda_map(self, x):
         """Lambda(x) = int_{reference}^{x} du / F(u), vectorized."""
-        _require_finite("x", x)
+        x = _floats("x", x)
         if self.is_constant:
-            if self._const <= 0.0:
-                raise LampertiError("constant drift must be positive for Lambda")
-            out = (np.asarray(x, dtype=float) - self.reference_point) / self._const
-            return out if isinstance(x, np.ndarray) else float(out)
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+            return _result((x - self.reference_point) / self._rate())
+        xs = x.ravel()
         ref = self.reference_point
         pts = np.unique(np.concatenate([xs, [ref]]))
-        if pts.size == 1:
-            vals = np.zeros(1)
-        else:
-            seg = self._segment_integrals(pts[:-1], pts[1:])
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            vals = cum - cum[np.searchsorted(pts, ref)]
-        out = vals[np.searchsorted(pts, xs)]
-        if scalar:
-            return float(out[0])
-        return out.reshape(np.shape(x))
+        seg = self._segment_integrals(pts[:-1], pts[1:])
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        vals = cum - cum[np.searchsorted(pts, ref)]
+        return _result(vals[np.searchsorted(pts, xs)].reshape(x.shape))
 
     def lambda_inverse(self, y, x0=None, lam0=None):
         """Solve Lambda(x) = y by bracketing plus safeguarded Newton.
 
-        x0/lam0 optionally supply starting points with known Lambda values
-        (used by flow so brackets start at the flowed point, not at the
-        reference).
+        x0/lam0 optionally supply starting points and their Lambda values,
+        of y's shape (used by flow so brackets start at the flowed point,
+        not at the reference).
         """
-        scalar = np.isscalar(y) or np.ndim(y) == 0
-        y = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
+        y = _floats("y", y)
         if self.is_constant:
-            if self._const <= 0.0:
-                raise LampertiError("constant drift must be positive for Lambda")
-            out = self.reference_point + y * self._const
-            return float(out[0]) if scalar else out.reshape(-1)
+            return _result(self.reference_point + y * self._rate())
+        shape = y.shape
+        y = y.ravel()
         if x0 is None:
-            x0 = np.full_like(y, self.reference_point)
-            lam0 = np.zeros_like(y)
-        else:
-            x0 = np.broadcast_to(np.asarray(x0, dtype=float), y.shape).copy().ravel()
-            if lam0 is None:
-                lam0 = self.lambda_map(x0)
-            lam0 = np.broadcast_to(np.asarray(lam0, dtype=float), y.shape).copy().ravel()
+            x0, lam0 = np.full_like(y, self.reference_point), np.zeros_like(y)
+        x0, lam0 = np.ravel(x0), np.ravel(lam0)
 
         dy = y - lam0
         f0 = self.drift_at(x0)
@@ -231,28 +234,15 @@ class LampertiMap:
                 f"Newton failed to reach root_tol={self.root_tol} for "
                 f"{int(np.sum(unresolved))} points"
             )
-        return float(x[0]) if scalar else x.reshape(-1)
+        return _result(x.reshape(shape))
 
     def flow(self, x, t):
         """phi_t(x) = Lambda^{-1}(Lambda(x) + t); negative t flows backward."""
-        _require_finite("x", x)
-        _require_finite("t", t)
+        x, t = np.broadcast_arrays(_floats("x", x), _floats("t", t))
         if self.is_constant:
-            out = np.asarray(x, dtype=float) + self._const * np.asarray(t, dtype=float)
-            return float(out) if np.ndim(out) == 0 else out
-        scalar = (np.isscalar(x) or np.ndim(x) == 0) and \
-                 (np.isscalar(t) or np.ndim(t) == 0)
-        xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                     np.asarray(t, dtype=float))
-        shape = xb.shape
-        xv = xb.ravel()
-        tv = tb.ravel()
-        lam = np.atleast_1d(self.lambda_map(xv))
-        out = self.lambda_inverse(lam + tv, x0=xv, lam0=lam)
-        out = np.atleast_1d(out)
-        if scalar:
-            return float(out[0])
-        return out.reshape(shape)
+            return _result(x + self._const * t)
+        lam = self.lambda_map(x)
+        return self.lambda_inverse(lam + t, x0=x, lam0=lam)
 
     def transport(self, x, t):
         """(y, dy/dx) for the backward flow y = phi_{-t}(x): dy/dx = F(y)/F(x),

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .girsanov import chunks
+from .lamperti import _check_horizon
 
 _CHUNK = 1 << 16  # samples per derived seed; output independent of workers
 
@@ -28,8 +29,7 @@ def sample_crypto(m, x_prime, T, n, seed):
     The flow is evaluated in closed form through the Lamperti map, so these
     samples follow the girsanov short-time kernel exactly.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    _check_horizon(T)
     if n < 1:
         raise ValueError("need at least one sample")
     sqrt_t = math.sqrt(T)
@@ -41,8 +41,7 @@ def sample_crypto(m, x_prime, T, n, seed):
 
 def sample_em_path(m, x_prime, T, n_steps, n, seed):
     """Euler-Maruyama endpoints of dX = F(X) dt + dB from x'."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    _check_horizon(T)
     if n_steps < 1 or n < 1:
         raise ValueError("need at least one step and one sample")
     dt = T / n_steps
@@ -78,7 +77,7 @@ def girsanov_kernel_cdf(m, T, x_prime):
     sqrt_t = math.sqrt(T)
 
     def cdf(x):
-        y = m.flow(np.asarray(x, dtype=float), -T)
+        y = m.flow(x, -T)
         return ndtr((y - x_prime) / sqrt_t)
 
     return cdf

@@ -445,3 +445,102 @@ class TestNonFiniteConfig:
         assert code == 2
         assert payload["error"]["kind"] == "config"
         assert not (tmp_path / "density.csv").exists()
+
+
+class TestConfigNumbers:
+    """Every config number goes through one reader: strings, booleans,
+    non-finite values, integers past the float range and fractional counts
+    exit 2 before any artifact is written."""
+
+    GRID = {"x_min": -4.0, "x_max": 5.0, "n_points": 301}
+    MC = {"n_paths": 8, "n_steps": 4, "base_seed": 1}
+    BASE = {
+        "flow": {"drift": COS, "t": 0.1, "x_values": [0.0, 1.0]},
+        "density": {"drift": COS, "T": 0.1, "x_prime": 0.0, "grid": GRID},
+        "fp-solve": {"drift": COS, "T": 0.1, "x_prime": 0.0,
+                     "n_time_steps": 10, "grid": GRID},
+        "compose": {"drift": COS, "T": 0.2, "x_prime": 0.0, "n_slices": 2,
+                    "grid": GRID},
+        "girsanov-error": {"drift": COS, "T": 0.1, "mc": MC},
+        "rate": {"drift": COS, "T_grid": [0.2, 0.1, 0.05], "mc": MC},
+        "sample": {"drift": COS, "T": 0.1, "x_prime": 0.0,
+                   "sample": {"n": 10, "seed": 1}},
+        "validate": {"drift": COS, "scan_range": [-1.0, 1.0],
+                     "epsilon": 0.5},
+    }
+    BIG = "1" + "0" * 399  # an integer JSON reads exactly; no float holds it
+
+    CASES = [  # (command, config changes, --set overrides)
+        ("fp-solve", {}, ["T=nan"]),
+        ("fp-solve", {}, ['T="inf"']),
+        ("density", {}, ["T=nan", "kind=euler_maruyama"]),
+        ("density", {}, ["T=" + BIG]),
+        ("fp-solve", {}, ["n_time_steps=" + BIG]),
+        ("flow", {"x_values": ["nan"]}, []),
+        ("fp-solve", {"n_time_steps": True}, []),
+        ("flow", {"alpha": "0.5"}, []),
+        ("flow", {"x_values": 0.5}, []),
+        ("density", {"grid": dict(GRID, n_points=300.5)}, []),
+        ("density", {"grid": dict(GRID, x_min="-4")}, []),
+        ("density", {"law": {"atoms": [["0", 1.0]]}}, []),
+        ("compose", {"n_slices": 2.5}, []),
+        ("girsanov-error", {"mc": dict(MC, base_seed=False)}, []),
+        ("girsanov-error", {"p_values": [2, "3"]}, []),
+        ("rate", {"T_grid": [0.2, 0.1, None]}, []),
+        ("sample", {"sample": {"n": 10.5, "seed": 1}}, []),
+        ("sample", {"sample": {"n": 10, "seed": True}}, []),
+        ("validate", {"scan_range": [-1.0, "1"]}, []),
+        ("validate", {"scan_range": [-1.0]}, []),
+        ("validate", {"epsilon": "0.5"}, []),
+    ]
+
+    def _run(self, capsys, tmp_path, command, changes, overrides):
+        cfg = write_cfg(tmp_path, "c.json",
+                        dict(self.BASE[command], **changes))
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out-dir", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        code, payload = run(capsys, *argv)
+        return code, payload, out
+
+    @pytest.mark.parametrize("command,changes,overrides", CASES,
+                             ids=[f"{c[0]}{i}" for i, c in enumerate(CASES)])
+    def test_refused(self, command, changes, overrides, tmp_path, capsys):
+        code, payload, out = self._run(capsys, tmp_path, command, changes,
+                                       overrides)
+        assert code == 2, payload
+        assert payload["error"]["kind"] == "config"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(BASE))
+    def test_valid_base_configs_run(self, command, tmp_path, capsys):
+        code, payload, out = self._run(capsys, tmp_path, command, {}, [])
+        assert code == 0, payload
+        assert any(out.iterdir())
+
+    def test_whole_float_counts_are_counts(self, tmp_path, capsys):
+        code, manifest, _ = self._run(
+            capsys, tmp_path, "fp-solve",
+            {"n_time_steps": 10.0, "grid": dict(self.GRID, n_points=301.0)},
+            [])
+        assert code == 0
+        assert manifest["n_time_steps"] == 10
+        assert isinstance(manifest["n_time_steps"], int)
+
+
+class TestDeepDrift:
+    @pytest.mark.parametrize("expr", [
+        "(" * 200 + "x" + ")" * 200, "cos(" * 200 + "x" + ")" * 200,
+        "+".join(["x"] * 500), "-" * 500 + "x",
+    ], ids=["parentheses", "calls", "sum", "unary_minus"])
+    def test_validate_reports_a_parse_error(self, expr, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "drift": {"expr": expr}, "scan_range": [-1, 1], "epsilon": 0.5,
+        })
+        code, payload = run(capsys, "validate", "--config", cfg,
+                            "--out-dir", str(tmp_path))
+        assert code == 1
+        assert payload["error"]["kind"] == "domain"
+        assert payload["error"]["module"] == "drift"
+        assert "nested deeper" in payload["error"]["message"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from shorttime import drift as dmod
@@ -210,3 +210,45 @@ def test_canonical_roundtrip(ast):
         except DriftDomainError:
             continue
         assert reparsed(float(x)) == a
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(ast=_asts, x=hs.floats(min_value=-2.0, max_value=2.0,
+                              allow_nan=False))
+@example(ast=("add", ("call", "exp", ("call", "exp", ("call", "exp", ("x",)))),
+              ("num", 1.0)), x=2.0)  # f overflows to inf; inf + 1 is inf
+def test_jet_value_is_the_plain_value(ast, x):
+    # plain numbers and jets run through the same operator table
+    d = _make_expr(ast)
+    for arg in (x, np.array([x, 0.5 * x])):
+        try:
+            plain = d(arg)
+        except DriftDomainError:
+            with pytest.raises(DriftDomainError):
+                d.jets(arg)
+            continue
+        jet = d.jets(arg)[0]
+        assert np.array_equal(np.broadcast_to(plain, np.shape(arg)),
+                              np.broadcast_to(jet, np.shape(arg)),
+                              equal_nan=True)
+
+
+DEEP = {
+    "parentheses": "(" * 200 + "x" + ")" * 200,
+    "calls": "cos(" * 200 + "x" + ")" * 200,
+    "sum": "+".join(["x"] * 500),
+    "unary_minus": "-" * 500 + "x",
+}
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_deep_expression_is_a_parse_error(self, shape):
+        with pytest.raises(DriftParseError, match="nested deeper"):
+            parse_drift(DEEP[shape])
+
+    def test_cap_leaves_shallow_expressions_alone(self):
+        d = parse_drift("+".join(["x"] * 50))
+        assert d(0.5) == 25.0
+        assert parse_drift("(" * 60 + "x" + ")" * 60)(0.5) == 0.5

@@ -154,6 +154,11 @@ class TestInitialLawAndGrid:
             GridSpec(1.0, -1.0, 5)
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, 1)
+        # linspace over an infinite end gives nan points
+        for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0),
+                       (-1.0, math.nan), (-math.inf, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(lo, hi, 5)
 
 
 class TestMarginalDensity:

@@ -246,3 +246,114 @@ class TestFlowGuards:
         name, seconds = proc.stdout.split()
         assert issubclass(getattr(shorttime, name), LampertiError)
         assert float(seconds) < 1.0
+
+
+class TestReturnPolicy:
+    """One input and return policy on both forks (constant drift and
+    quadrature): a scalar gives a float, anything else an array of the
+    input's shape, equal to the flat call reshaped."""
+
+    MAPS = {"one": "1", "zero": "0", "two_plus_cos": "2 + cos(x)"}
+    GRID = np.linspace(-1.0, 1.0, 6)
+
+    def _methods(self, name):
+        m = LampertiMap(parse_drift(self.MAPS[name]))
+        flow = ("flow", lambda v: m.flow(v, 0.3))
+        if name == "zero":  # Lambda needs a positive drift
+            return [flow]
+        return [("lambda_map", m.lambda_map),
+                ("lambda_inverse", m.lambda_inverse), flow]
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_scalar_list_and_shape(self, name):
+        for label, fn in self._methods(name):
+            assert isinstance(fn(0.25), float), label
+            assert isinstance(fn(np.float64(0.25)), float), label
+            assert isinstance(fn(np.array(0.25)), float), label
+            out = fn([0.0, 0.5])
+            assert isinstance(out, np.ndarray) and out.shape == (2,), label
+            flat = fn(self.GRID)
+            grid = fn(self.GRID.reshape(2, 3))
+            assert grid.shape == (2, 3), label
+            assert np.array_equal(grid, flat.reshape(2, 3)), label
+
+    @pytest.mark.parametrize("text", ["1", "2 + cos(x)"])
+    def test_nan_y_raises(self, text):
+        m = LampertiMap(parse_drift(text))
+        with pytest.raises(LampertiError, match="non-finite y=nan"):
+            m.lambda_inverse(math.nan)
+        with pytest.raises(LampertiError, match="non-finite y=inf"):
+            m.lambda_inverse(np.array([0.0, math.inf]))
+
+    def test_flow_broadcasts_x_and_t(self):
+        # the quadrature tolerance is shared by the batch, so a smaller
+        # batch agrees to root_tol, not bit for bit
+        for text in ("1", "2 + cos(x)"):
+            m = LampertiMap(parse_drift(text))
+            out = m.flow(self.GRID, np.array([[0.1], [0.2]]))
+            assert out.shape == (2, 6)
+            assert np.allclose(out[1], m.flow(self.GRID, 0.2),
+                               rtol=0.0, atol=10.0 * m.root_tol)
+
+
+def _horizon_sites():
+    """The ten entry points that take a horizon, as T -> call."""
+    from shorttime import (CompositionPlan, GridSpec, InitialLaw, KernelKind,
+                           MCConfig, approx_exponential_euler, kernel_eval,
+                           liouville_density, lp_errors, marginal_density,
+                           sample_crypto, sample_em_path, solve_fokker_planck,
+                           u_eval)
+
+    m = LampertiMap(TWO_PLUS_COS)
+    grid = GridSpec(-4.0, 5.0, 301)
+    law = InitialLaw(((0.0, 1.0),))
+    cfg = MCConfig(n_paths=8, n_steps=4, base_seed=1)
+    return {
+        "u_eval": lambda T: u_eval(m, 0.0, 0.5, T),
+        "approx_exponential_euler": lambda T: approx_exponential_euler(
+            m, 0.5, T),
+        "kernel_eval": lambda T: kernel_eval(KernelKind.EULER_MARUYAMA, m,
+                                             T, 0.5, 0.0),
+        "marginal_density": lambda T: marginal_density(
+            KernelKind.BACKWARD_EULER, TWO_PLUS_COS, law, T, 0.5),
+        "liouville_density": lambda T: liouville_density(m, 0.0, T, 0.5,
+                                                         0.0),
+        "solve_fokker_planck": lambda T: solve_fokker_planck(m, T, 0.0,
+                                                             grid, 10),
+        "CompositionPlan": lambda T: CompositionPlan(
+            total_time=T, n_slices=2, grid=grid, kind=KernelKind.GIRSANOV),
+        "sample_crypto": lambda T: sample_crypto(m, 0.0, T, 10, 3),
+        "sample_em_path": lambda T: sample_em_path(m, 0.0, T, 4, 10, 3),
+        "lp_errors": lambda T: lp_errors(m, T, cfg, [2.0]),
+    }
+
+
+class TestHorizonCheck:
+    """Every entry point that takes a horizon T refuses a T that is not
+    finite and positive with ValueError, before drawing any path."""
+
+    @pytest.mark.parametrize("site", sorted(_horizon_sites()))
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_horizon(self, site, T, monkeypatch):
+        from shorttime import girsanov
+
+        calls = []
+        monkeypatch.setattr(girsanov, "chunk_rng",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            _horizon_sites()[site](T)
+        assert calls == []
+
+    @pytest.mark.parametrize("site", sorted(_horizon_sites()))
+    def test_good_horizon_runs(self, site):
+        _horizon_sites()[site](0.1)
+
+    @pytest.mark.parametrize("t", [-0.01, 0.11, math.nan, math.inf])
+    def test_t_outside_the_horizon(self, t):
+        from shorttime import liouville_density, u_eval
+
+        m = LampertiMap(TWO_PLUS_COS)
+        with pytest.raises(ValueError, match="0 <= t <= T"):
+            u_eval(m, t, 0.5, 0.1)
+        with pytest.raises(ValueError, match="0 <= t <= T"):
+            liouville_density(m, t, 0.1, 0.5, 0.0)
