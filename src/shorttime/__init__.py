@@ -47,7 +47,7 @@ from .kernels import (
     marginal_density,
     normalization_defect,
 )
-from .lamperti import BracketError, LampertiError, LampertiMap, QuadratureError
+from .lamperti import LampertiError, LampertiMap, QuadratureError
 from .sampler import (
     SampleSet,
     girsanov_kernel_cdf,
@@ -57,7 +57,7 @@ from .sampler import (
 )
 
 __all__ = [
-    "AssumptionReport", "BracketError", "BrownianPath", "CompositionPlan",
+    "AssumptionReport", "BrownianPath", "CompositionPlan",
     "DriftDomainError", "DriftError", "DriftExpr", "DriftParseError",
     "ErrorEstimate", "GridDensity", "GridSpec", "InitialLaw", "KernelKind",
     "LampertiError", "LampertiMap", "MCConfig", "QuadratureError", "RateFit",

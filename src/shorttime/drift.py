@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class DriftDomainError(DriftError):
 
 
 _FUNCTIONS = ("sin", "cos", "exp", "tanh")
+_EPS = np.finfo(float).eps
 _MAX_DEPTH = 100  # AST nesting, far inside the recursive evaluator's stack
 
 
@@ -125,7 +126,16 @@ def _promote(lhs, rhs):
 def _div(lhs, rhs):
     if np.any((rhs.f if isinstance(rhs, Jet2) else rhs) == 0.0):
         raise DriftDomainError("division by zero")
-    return lhs / rhs
+    q = lhs / rhs
+    if isinstance(q, Jet2):
+        # rounding in the quotient rule grows by 1/|divisor| per order, so
+        # next to a divisor's zero (x/sin(x) at 1e-12) f' and f'' are noise
+        e1 = _EPS * (abs(lhs.f1) + 2.0 * abs(q.f * rhs.f1)) / abs(rhs.f)
+        e2 = 2.0 * e1 * abs(rhs.f1 / rhs.f)
+        if np.any((e1 > 1e-6 * (1.0 + abs(q.f1)))
+                  | (e2 > 1e-6 * (1.0 + abs(q.f2)))):
+            raise DriftDomainError("quotient derivatives lost to rounding")
+    return q
 
 
 # add, sub, mul and div for floats, arrays and jets alike, after _promote
@@ -284,6 +294,13 @@ def _contains_x(node):
     return any(_contains_x(c) for c in node[1:] if isinstance(c, tuple))
 
 
+def _has_x_divisor(node):
+    """Whether some division in node has x in its divisor."""
+    if node[0] == "div" and _contains_x(node[2]):
+        return True
+    return any(_has_x_divisor(c) for c in node[1:] if isinstance(c, tuple))
+
+
 def _eval_ast(node, x):
     kind = node[0]
     if kind == "num":
@@ -340,8 +357,16 @@ class DriftExpr:
 
     ast: tuple
     source_text: str
+    # a divisor in x: plain values go through the jets, so that they fail
+    # where the jets do (see _div)
+    _x_divisor: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_x_divisor", _has_x_divisor(self.ast))
 
     def __call__(self, x):
+        if self._x_divisor:
+            return self.jets(x)[0]
         return _eval_ast(self.ast, x)
 
     def jets(self, x):

@@ -39,8 +39,7 @@ class BrownianPath:
 
     @classmethod
     def generate(cls, horizon, n_steps, seed):
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        _check_horizon(horizon)
         if n_steps < 1:
             raise ValueError("need at least one step")
         rng = np.random.default_rng(seed)

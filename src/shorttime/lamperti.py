@@ -8,10 +8,9 @@ Lambda^{-1}(Lambda(.) +/- t), which is invariant under that normalization.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
-
-from .drift import DriftDomainError
 
 
 class LampertiError(Exception):
@@ -19,20 +18,23 @@ class LampertiError(Exception):
 
 
 class QuadratureError(LampertiError):
-    """Adaptive integration failed to reach the requested tolerance."""
-
-
-class BracketError(LampertiError):
-    """Could not bracket the inverse; usually an assumption violation."""
+    """Adaptive integration failed, or a table for Lambda passed its budget."""
 
 
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+_GL_X = np.concatenate([_GL16_X, _GL8_X])  # both rules' nodes, one pass
 
+_EPS = np.finfo(float).eps
 _MAX_REFINE = 60
-_MAX_LIVE = 1 << 16  # live subintervals of one integral (QUADPACK's limit)
-_MAX_BRACKET_DOUBLINGS = 80
-_MAX_NEWTON = 100
+_MAX_NODES = 1 << 18  # cells of one table
+_MAX_LIVE = 1 << 16  # live subintervals of one quadrature call
+_CHUNK = 1 << 13  # cells per quadrature call: a runaway range trips
+# _MAX_LIVE within its first chunk, in a fraction of a second
+_BLOCK = 1 << 14  # subintervals per drift evaluation, which bounds memory
+_H0 = 0.05  # narrowest first cell; a cell is split until its midpoint holds
+_FIRST_CELLS = 1 << 12  # first cells of a hull, at least _H0 wide
+_MAX_SPLIT = 4  # halvings of a failed cell per round
 
 
 def _floats(name, v):
@@ -57,11 +59,46 @@ def _check_horizon(T, t=None):
         raise ValueError(f"need 0 <= t <= T, got t={t!r}")
 
 
+def _hermite(x, p, d1, d2):
+    """Quintic Hermite cells from values p and derivatives d1, d2 at the
+    knots x, each given as a pair (left ends, right ends): rows x_i, 1/w_i,
+    c_0..c_5, so p = sum c_k s^k at s = (v - x_i)/w_i."""
+    w, dp = x[1] - x[0], p[1] - p[0]
+    a, b = w * d1[0], w * d1[1]
+    a2, b2 = w * w * d2[0], w * w * d2[1]
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+    return np.stack([
+        x[0], inv_w, p[0], a, 0.5 * a2,
+        10.0 * dp - 6.0 * a - 4.0 * b - 1.5 * a2 + 0.5 * b2,
+        -15.0 * dp + 8.0 * a + 7.0 * b + 1.5 * a2 - b2,
+        6.0 * dp - 3.0 * (a + b) - 0.5 * (a2 - b2),
+    ])
+
+
+def _ends(v):
+    """The knots v as a pair (left ends, right ends) of their cells."""
+    return v[:-1], v[1:]
+
+
+def _horner(c, v):
+    """Hermite cells c (one column per entry of v) evaluated at v."""
+    s = (v - c[0]) * c[1]
+    out = c[7] * s
+    for k in (6, 5, 4, 3):
+        out += c[k]
+        out *= s
+    out += c[2]
+    return out
+
+
 class LampertiMap:
     """Holds the drift, the scalar shift alpha, and evaluation tolerances.
 
     Evaluation is pure given the fields; instances may be shared freely.
-    The effective drift is F(x) = f(alpha + x).
+    The effective drift is F(x) = f(alpha + x).  Lambda and its inverse come
+    from a quintic Hermite table on the hull of each call's inputs, extended
+    to cover its outputs; finished tables are cached by the arguments they
+    were built from, so the cache never changes a result.
     """
 
     def __init__(self, drift, alpha=0.0, quad_tol=1e-10, root_tol=1e-10,
@@ -73,6 +110,7 @@ class LampertiMap:
         self.reference_point = float(reference_point)
         self.is_constant = drift.is_constant
         self._const = float(drift(0.0)) if self.is_constant else None
+        self._cache = {}  # tables by the arguments of _table_on
 
     # -- effective drift ----------------------------------------------------
 
@@ -88,9 +126,10 @@ class LampertiMap:
 
     def _inv_drift(self, x):
         f = self.drift_at(x)
-        if np.any(f <= 0.0):
+        bad = ~((f > 0.0) & (f < math.inf))
+        if np.any(bad):
             raise LampertiError(
-                f"drift non-positive at x={float(x[f <= 0.0][0])!r}; "
+                f"drift non-positive or non-finite at x={float(x[bad][0])!r}; "
                 "assumption violated on the traversed range"
             )
         return 1.0 / f
@@ -98,7 +137,9 @@ class LampertiMap:
     # -- quadrature ---------------------------------------------------------
 
     def _segment_integrals(self, a, b):
-        """Integral of 1/F over each [a_i, b_i] (a_i <= b_i), adaptively."""
+        """Integral of 1/F over each [a_i, b_i] (a_i <= b_i), adaptively: a
+        piece is done when its 16- and 8-point sums agree to its share of
+        quad_tol, or to 1e-15 relative, a few roundings of such sums."""
         total = np.zeros_like(a)
         idx = np.arange(a.size)
         lo, hi = a.copy(), b.copy()
@@ -107,23 +148,21 @@ class LampertiMap:
         for _ in range(_MAX_REFINE):
             if idx.size == 0:
                 return total
-            # no segment may split into more than _MAX_LIVE live pieces;
-            # the total bounds every segment's count, so bincount runs rarely
-            if idx.size > _MAX_LIVE and np.bincount(idx).max() > _MAX_LIVE:
+            if idx.size > _MAX_LIVE:
                 raise QuadratureError(
                     f"{idx.size} live subintervals exceed the budget of "
-                    f"{_MAX_LIVE} per integral at quad_tol={tol}"
+                    f"{_MAX_LIVE} at quad_tol={tol}"
                 )
             mid = 0.5 * (lo + hi)
             half = 0.5 * (hi - lo)
-            nodes16 = mid[:, None] + half[:, None] * _GL16_X[None, :]
-            vals16 = self._inv_drift(nodes16)
-            i16 = half * (vals16 @ _GL16_W)
-            nodes8 = mid[:, None] + half[:, None] * _GL8_X[None, :]
-            vals8 = self._inv_drift(nodes8)
-            i8 = half * (vals8 @ _GL8_W)
+            i16, i8 = np.empty_like(mid), np.empty_like(mid)
+            for k in range(0, mid.size, _BLOCK):
+                s = slice(k, k + _BLOCK)
+                v = self._inv_drift(mid[s, None] + half[s, None] * _GL_X)
+                i16[s] = half[s] * (v[:, :16] @ _GL16_W)
+                i8[s] = half[s] * (v[:, 16:] @ _GL8_W)
             local_tol = tol * np.maximum(hi - lo, 1e-300) / span
-            ok = np.abs(i16 - i8) <= np.maximum(local_tol, 1e-16 * np.abs(i16))
+            ok = np.abs(i16 - i8) <= np.maximum(local_tol, 1e-15 * np.abs(i16))
             np.add.at(total, idx[ok], i16[ok])
             bad = ~ok
             idx = np.concatenate([idx[bad], idx[bad]])
@@ -132,6 +171,112 @@ class LampertiMap:
         raise QuadratureError(
             f"{idx.size} subintervals failed to converge to quad_tol={tol}"
         )
+
+    # -- the table ------------------------------------------------------------
+
+    def _cells(self, lo, hi):
+        """Lambda's increment over each cell [lo, hi] and the cell's midpoint
+        error, less what the rounding of x alone explains: its Hermite
+        Lambda against adaptive quadrature, and the residual of its Hermite
+        inverse under that quadrature."""
+        ends = np.stack([lo, hi])
+        g = self._inv_drift(ends)
+        _, f1, _ = self.drift_jets(ends)
+        mid = 0.5 * (lo + hi)
+        half = self._segment_integrals(np.concatenate([lo, mid]),
+                                       np.concatenate([mid, hi]))
+        first = half[:lo.size]
+        seg = first + half[lo.size:]
+        y = np.stack([np.zeros_like(seg), seg])
+        fwd = _hermite(ends, y, g, -f1 * g * g)
+        inv = _hermite(y, ends, 1.0 / g, f1 / g)
+        x_hat = np.clip(_horner(inv, 0.5 * seg), lo, hi)
+        err = np.maximum(
+            np.abs(_horner(fwd, mid) - first),
+            np.abs(self._segment_integrals(lo, x_hat) - 0.5 * seg))
+        return seg, err - 2.0 * _EPS * np.max(np.abs(ends) * g, axis=0)
+
+    def _knots(self, a, b, anchor):
+        """Knots on [a, b] and Lambda's increment over each cell: first at
+        spacing h = max(_H0, (b - a)/_FIRST_CELLS) from the anchor (a knot,
+        a <= anchor <= b), the end cells clipped to [a, b] (h/2 to 3h/2
+        wide), then each cell split until it passes the midpoint check, so
+        a smooth stretch keeps wide cells."""
+        tol = self.root_tol
+        h = max(_H0, (b - a) / _FIRST_CELLS)
+        n_left = 0 if a == anchor else max(round((anchor - a) / h), 1)
+        n_right = 0 if b == anchor else max(round((b - anchor) / h), 1)
+        x = anchor + h * np.arange(-n_left, max(n_right, 1 - n_left) + 1)
+        x[0], x[-1] = a, b
+        lo, hi = _ends(x)
+        done_lo, done_seg, n_done = [], [], 0
+        while lo.size:
+            parts = [self._cells(lo[k:k + _CHUNK], hi[k:k + _CHUNK])
+                     for k in range(0, lo.size, _CHUNK)]
+            seg = np.concatenate([p[0] for p in parts])
+            err = np.concatenate([p[1] for p in parts])
+            ok = err <= tol
+            done_lo.append(lo[ok])
+            done_seg.append(seg[ok])
+            n_done += int(np.count_nonzero(ok))
+            lo, hi, err = lo[~ok], hi[~ok], err[~ok]
+            # the error goes as w^6: split as often as that predicts
+            k = np.log2(np.fmin(err / tol, 2.0 ** (6 * _MAX_SPLIT))) / 6.0
+            n = 2 ** np.clip(np.ceil(k), 1, _MAX_SPLIT).astype(np.intp)
+            if n_done + n.sum() > _MAX_NODES:
+                raise QuadratureError(
+                    f"a table on [{float(a)!r}, {float(b)!r}] needs more "
+                    f"than the budget of {_MAX_NODES} cells")
+            cell = np.repeat(np.arange(n.size), n)
+            j = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
+            w = (hi - lo)[cell]
+            lo, hi = (lo[cell] + w * (j / n[cell]),
+                      np.where(j + 1 == n[cell], hi[cell],
+                               lo[cell] + w * ((j + 1) / n[cell])))
+        lo, seg = np.concatenate(done_lo), np.concatenate(done_seg)
+        order = np.argsort(lo)
+        return np.append(lo[order], b), seg[order]
+
+    def _table(self, x, y):
+        """Hermite cells on the knots x with Lambda values y: Lambda's fwd
+        in x, and its inverse's inv in y."""
+        g = self._inv_drift(x)
+        _, f1, _ = self.drift_jets(x)
+        return SimpleNamespace(
+            x=x, y=y, g=g,
+            fwd=_hermite(_ends(x), _ends(y), _ends(g), _ends(-f1 * g * g)),
+            inv=_hermite(_ends(y), _ends(x), _ends(1.0 / g), _ends(f1 / g)))
+
+    def _table_on(self, hull, a=None, b=None):
+        """The table on the hull (lo <= reference <= hi), accumulated outward
+        from the reference, or that table extended by cells from its ends
+        to reach a <= lo and b >= hi.  Each table depends on these arguments
+        alone, so equal inputs give equal results, and the last few are
+        cached; the cache is replaced, never changed in place."""
+        key = (*hull, a, b)
+        t = self._cache.get(key)
+        if t is None:
+            if a is None:
+                ref = self.reference_point
+                x, seg = self._knots(*hull, ref)
+                r = np.searchsorted(x, ref)  # the reference is a knot
+                y = np.concatenate([-np.cumsum(seg[:r][::-1])[::-1], [0.0],
+                                    np.cumsum(seg[r:])])
+            else:
+                base = self._table_on(hull)
+                x, y = base.x, base.y
+                if a < x[0]:
+                    xa, seg = self._knots(a, x[0], x[0])
+                    x = np.concatenate([xa[:-1], x])
+                    y = np.concatenate([y[0] - np.cumsum(seg[::-1])[::-1], y])
+                if b > x[-1]:
+                    xb, seg = self._knots(x[-1], b, x[-1])
+                    x = np.concatenate([x, xb[1:]])
+                    y = np.concatenate([y, y[-1] + np.cumsum(seg)])
+            t = self._table(x, y)
+            cache = self._cache if len(self._cache) < 4 else {}
+            self._cache = {**cache, key: t}
+        return t
 
     # -- Lambda and its inverse --------------------------------------------
 
@@ -144,97 +289,44 @@ class LampertiMap:
     def lambda_map(self, x):
         """Lambda(x) = int_{reference}^{x} du / F(u), vectorized."""
         x = _floats("x", x)
-        if self.is_constant:
-            return _result((x - self.reference_point) / self._rate())
-        xs = x.ravel()
         ref = self.reference_point
-        pts = np.unique(np.concatenate([xs, [ref]]))
-        seg = self._segment_integrals(pts[:-1], pts[1:])
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        vals = cum - cum[np.searchsorted(pts, ref)]
-        return _result(vals[np.searchsorted(pts, xs)].reshape(x.shape))
+        if self.is_constant:
+            return _result((x - ref) / self._rate())
+        t = self._table_on((x.min(initial=ref), x.max(initial=ref)))
+        j = np.searchsorted(t.x, x, side="right") - 1
+        return _result(_horner(np.take(t.fwd, np.clip(j, 0, len(t.x) - 2),
+                                       axis=1), x))
 
     def lambda_inverse(self, y, x0=None, lam0=None):
-        """Solve Lambda(x) = y by bracketing plus safeguarded Newton.
+        """Solve Lambda(x) = y on a table grown until it covers y: each end
+        moves by its first-order guess (y - Lambda) F, doubled per try.
 
-        x0/lam0 optionally supply starting points and their Lambda values,
-        of y's shape (used by flow so brackets start at the flowed point,
-        not at the reference).
+        x0/lam0 optionally give points of y's shape with Lambda(x0) = lam0;
+        the table starts on their hull, and y = lam0 gives x0 exactly.
         """
         y = _floats("y", y)
+        ref = self.reference_point
         if self.is_constant:
-            return _result(self.reference_point + y * self._rate())
-        shape = y.shape
-        y = y.ravel()
-        if x0 is None:
-            x0, lam0 = np.full_like(y, self.reference_point), np.zeros_like(y)
-        x0, lam0 = np.ravel(x0), np.ravel(lam0)
-
-        dy = y - lam0
-        f0 = self.drift_at(x0)
-        step = dy * f0  # first-order displacement guess
-
-        lo = x0.copy()
-        r_lo = lam0 - y  # residual at lo; sign(-dy)
-        hi = x0 + step
-        done0 = dy == 0.0
-        hi[done0] = x0[done0]
-
-        # Expand the far end until the residual changes sign.  Lambda is
-        # strictly increasing, so under the drift lower bound this terminates.
-        active = ~done0
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            if not np.any(active):
-                break
-            r_hi = self.lambda_map(hi[active]) - y[active]
-            same = np.sign(r_hi) == np.sign(r_lo[active])
-            same &= r_hi != 0.0
-            idx = np.flatnonzero(active)
-            settled = idx[~same]
-            active[settled] = False
-            grow = idx[same]
-            lo[grow] = hi[grow]
-            r_lo[grow] = r_hi[same]
-            step[grow] *= 2.0
-            hi[grow] = x0[grow] + step[grow]
-        if np.any(active):
-            raise BracketError(
-                "could not bracket Lambda inverse; drift bounds likely violated"
-            )
-
-        a = np.minimum(lo, hi)
-        b = np.maximum(lo, hi)
-        x = np.clip(x0 + dy * f0, a, b)
-        x[done0] = x0[done0]
-        unresolved = ~done0
-        for _ in range(_MAX_NEWTON):
-            if not np.any(unresolved):
-                break
-            xa = x[unresolved]
-            r = self.lambda_map(xa) - y[unresolved]
-            conv = np.abs(r) <= self.root_tol
-            idx = np.flatnonzero(unresolved)
-            unresolved[idx[conv]] = False
-            rest = idx[~conv]
-            if rest.size == 0:
-                continue
-            r = r[~conv]
-            xr = x[rest]
-            # shrink brackets from the residual sign, then Newton with
-            # Lambda'(x) = 1/F(x); bisect whenever Newton leaves the bracket
-            pos = r > 0.0
-            b[rest[pos]] = xr[pos]
-            a[rest[~pos]] = xr[~pos]
-            xn = xr - r * self.drift_at(xr)
-            bad = (xn <= a[rest]) | (xn >= b[rest])
-            xn[bad] = 0.5 * (a[rest][bad] + b[rest][bad])
-            x[rest] = xn
-        if np.any(unresolved):
-            raise LampertiError(
-                f"Newton failed to reach root_tol={self.root_tol} for "
-                f"{int(np.sum(unresolved))} points"
-            )
-        return _result(x.reshape(shape))
+            return _result(ref + y * self._rate())
+        start = ref if x0 is None else x0
+        hull = (np.min(start, initial=ref), np.max(start, initial=ref))
+        t = self._table_on(hull)
+        lo, hi = y.min(initial=0.0), y.max(initial=0.0)
+        scale = 1.0
+        while lo < t.y[0] or hi > t.y[-1]:
+            a = t.x[0] + scale * min(lo - t.y[0], 0.0) / t.g[0]
+            b = t.x[-1] + scale * max(hi - t.y[-1], 0.0) / t.g[-1]
+            if not math.isfinite(b - a):
+                raise LampertiError(
+                    f"no finite table reaches y in [{float(lo)!r}, "
+                    f"{float(hi)!r}]; drift bounds likely violated")
+            t = self._table_on(hull, a, b)
+            scale *= 2.0
+        j = np.searchsorted(t.y, y, side="right") - 1
+        x = _horner(np.take(t.inv, np.clip(j, 0, len(t.x) - 2), axis=1), y)
+        if x0 is not None:
+            x = np.where(y == lam0, x0, x)
+        return _result(x)
 
     def flow(self, x, t):
         """phi_t(x) = Lambda^{-1}(Lambda(x) + t); negative t flows backward."""

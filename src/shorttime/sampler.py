@@ -74,6 +74,7 @@ def girsanov_kernel_cdf(m, T, x_prime):
     """
     from scipy.special import ndtr
 
+    _check_horizon(T)
     sqrt_t = math.sqrt(T)
 
     def cdf(x):

@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy.integrate import quad
 
 import shorttime
 from shorttime import LampertiError, LampertiMap, QuadratureError, parse_drift
@@ -68,9 +71,11 @@ class TestLambdaMap:
         assert np.all(np.diff(vals) > 0.0)
 
     def test_nonpositive_drift_raises(self):
-        m = LampertiMap(parse_drift("x"))
-        with pytest.raises(LampertiError):
-            m.lambda_map(-1.0)
+        m = LampertiMap(parse_drift("x"), reference_point=1.0)
+        m.lambda_map(2.0)
+        for _ in range(2):  # a failed build must leave no table behind
+            with pytest.raises(LampertiError):
+                m.lambda_map(-1.0)
 
 
 class TestInverse:
@@ -90,12 +95,24 @@ class TestInverse:
         assert isinstance(m.lambda_inverse(0.5), float)
 
     def test_bracket_failure_surfaces(self):
-        # drift decays to zero on the right: Lambda is bounded above, so
-        # inverting past its supremum fails (either the drift positivity
-        # guard trips once exp underflows, or the bracket search gives up)
+        # drift decays to zero on the right: the first step towards
+        # y = 1000 reaches where exp(-x) underflows to 0, so the drift
+        # positivity guard trips
         m = LampertiMap(parse_drift("exp(-x)"))
-        with pytest.raises(LampertiError):
+        with pytest.raises(LampertiError, match="drift non-positive"):
             m.lambda_inverse(1000.0)
+
+    def test_unreachable_targets_surface(self):
+        # Lambda = atan(x) stays below pi/2: the table grows until the
+        # drift overflows, and that ends in a typed error
+        m = LampertiMap(parse_drift("x^2 + 1"))
+        with np.errstate(over="ignore"), pytest.raises(LampertiError):
+            m.lambda_inverse(2.0)
+        # Lambda = x / 1e300 reaches 1e10 only past the float range
+        m = LampertiMap(parse_drift("1e300 + 0*x"))
+        with np.errstate(over="ignore"), pytest.raises(
+                LampertiError, match="no finite table"):
+            m.lambda_inverse(1e10)
 
 
 class TestFlow:
@@ -112,6 +129,26 @@ class TestFlow:
         xs = np.linspace(0.5, 3.0, 11)
         assert np.allclose(m.flow(xs, 0.7), xs * math.exp(0.7), atol=1e-8)
         assert np.allclose(m.flow(xs, -0.7), xs * math.exp(-0.7), atol=1e-8)
+
+    def test_large_cell_integrals_converge(self):
+        # 1/F = 1 + x^2 reaches 1e4 on [0, 100], so each cell's two Gauss
+        # sums differ by rounding alone; Lambda(x) = x + x^3/3 = 100
+        x = LampertiMap(parse_drift("1/(1+x^2)")).flow(0.0, 100.0)
+        assert x + x ** 3 / 3.0 == pytest.approx(100.0, abs=1e-9)
+
+    def test_long_ranges(self):
+        # smooth stretches keep wide cells, so far points cost few nodes
+        floor = LampertiMap(parse_drift("0.1 + tanh(x)^2"))
+        for x in (5000.0, 1e7):  # F = 1.1 to the last bit out there
+            assert floor.flow(x, 0.1) == pytest.approx(x + 0.11, abs=1e-9)
+        # Lambda(X) = X / 1.1 + c, with c the integral of 1/F - 1/1.1
+        c = quad(lambda u: 1.0 / (0.1 + math.tanh(u) ** 2) - 1.0 / 1.1,
+                 0.0, 50.0, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        assert floor.flow(0.0, 1e4) == pytest.approx(1.1 * (1e4 - c),
+                                                     abs=1e-8)
+        linear = LampertiMap(parse_drift("x"), reference_point=1.0)
+        assert linear.flow(1.0, 10.0) == pytest.approx(math.exp(10.0),
+                                                       rel=1e-12)
 
     def test_group_law(self):
         m = LampertiMap(TWO_PLUS_COS)
@@ -155,6 +192,49 @@ class TestFlow:
         assert isinstance(m.flow(0.3, 0.1), float)
         xs = np.linspace(-1, 1, 6).reshape(2, 3)
         assert m.flow(xs, 0.1).shape == (2, 3)
+
+
+_DRIFTS = ["2 + cos(x)", "0.1 + tanh(x)^2", "1 + 0.5*sin(3*x)"]
+_XS = hs.lists(hs.floats(-20.0, 20.0), min_size=1, max_size=20).map(np.array)
+_T = hs.floats(-1.0, 1.0)
+_TABLE = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+class TestTableProperties:
+    """The Hermite table keeps the identities of Lambda and the flow to the
+    scale of root_tol, with and without a shift."""
+
+    @_TABLE
+    @given(text=hs.sampled_from(_DRIFTS), alpha=hs.floats(-1.0, 1.0), xs=_XS)
+    def test_inverse_undoes_lambda(self, text, alpha, xs):
+        m = LampertiMap(parse_drift(text), alpha=alpha)
+        assert np.allclose(m.lambda_inverse(m.lambda_map(xs)), xs,
+                           rtol=0.0, atol=10.0 * m.root_tol)
+
+    @_TABLE
+    @given(text=hs.sampled_from(_DRIFTS), xs=_XS, s=_T, t=_T)
+    def test_group_law(self, text, xs, s, t):
+        m = LampertiMap(parse_drift(text))
+        assert np.allclose(m.flow(m.flow(xs, s), t), m.flow(xs, s + t),
+                           rtol=0.0, atol=10.0 * m.root_tol)
+
+    @_TABLE
+    @given(text=hs.sampled_from(_DRIFTS), xs=_XS, t=_T)
+    def test_strictly_monotone(self, text, xs, t):
+        m = LampertiMap(parse_drift(text))
+        xs = np.unique(np.round(xs, 4))  # gaps of 1e-4 dwarf root_tol
+        assert np.all(np.diff(m.lambda_map(xs)) > 0.0)
+        assert np.all(np.diff(m.flow(xs, t)) > 0.0)
+
+    @_TABLE
+    @given(xs=_XS, t=_T)
+    def test_two_plus_cos_closed_form(self, xs, t):
+        m = LampertiMap(TWO_PLUS_COS)
+        assert np.allclose(m.lambda_map(xs), lambda_cos_exact(xs),
+                           rtol=0.0, atol=10.0 * m.root_tol)
+        assert np.allclose(lambda_cos_exact(m.flow(xs, t)),
+                           lambda_cos_exact(xs) + t,
+                           rtol=0.0, atol=10.0 * m.root_tol)
 
 
 class TestTransport:
@@ -224,7 +304,7 @@ class TestFlowGuards:
             LampertiMap(TWO_PLUS_COS).flow(1e8, 0.1)
 
     def test_budget_leaves_long_integrals_alone(self):
-        # [0, 1e4] spans ~1600 periods and needs ~1e4 live subintervals
+        # [0, 1e4] spans ~1600 periods and needs ~1.2e5 table cells
         m = LampertiMap(TWO_PLUS_COS)
         assert m.lambda_map(1e4) == pytest.approx(
             float(lambda_cos_exact(1e4)), abs=1e-6)
@@ -297,12 +377,13 @@ class TestReturnPolicy:
 
 
 def _horizon_sites():
-    """The ten entry points that take a horizon, as T -> call."""
-    from shorttime import (CompositionPlan, GridSpec, InitialLaw, KernelKind,
-                           MCConfig, approx_exponential_euler, kernel_eval,
-                           liouville_density, lp_errors, marginal_density,
-                           sample_crypto, sample_em_path, solve_fokker_planck,
-                           u_eval)
+    """The twelve entry points that take a horizon, as T -> call."""
+    from shorttime import (BrownianPath, CompositionPlan, GridSpec,
+                           InitialLaw, KernelKind, MCConfig,
+                           approx_exponential_euler, girsanov_kernel_cdf,
+                           kernel_eval, liouville_density, lp_errors,
+                           marginal_density, sample_crypto, sample_em_path,
+                           solve_fokker_planck, u_eval)
 
     m = LampertiMap(TWO_PLUS_COS)
     grid = GridSpec(-4.0, 5.0, 301)
@@ -325,6 +406,9 @@ def _horizon_sites():
         "sample_crypto": lambda T: sample_crypto(m, 0.0, T, 10, 3),
         "sample_em_path": lambda T: sample_em_path(m, 0.0, T, 4, 10, 3),
         "lp_errors": lambda T: lp_errors(m, T, cfg, [2.0]),
+        "BrownianPath.generate": lambda T: BrownianPath.generate(T, 4, 1),
+        # the check runs before the cdf is built, not when it is first called
+        "girsanov_kernel_cdf": lambda T: girsanov_kernel_cdf(m, T, 0.0)(0.5),
     }
 
 

@@ -63,8 +63,8 @@ class TestSampleCrypto:
         finally:
             smod._CHUNK = old
         # chunk boundaries re-seed, so only the first chunk worth of draws
-        # coincides; those agree up to the root tolerance of the batched
-        # flow solve (the Newton trajectories depend on the batch)
+        # coincides; those agree up to the root tolerance, since each batch
+        # reads the flow from a table on its own hull
         assert full.values.shape == split.values.shape
         assert np.allclose(full.values[:128], split.values[:128], atol=1e-9)
 
