@@ -32,8 +32,8 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(v):
-    return f"{float(v):.17g}"
+_FLOAT = "%.17g"  # 17 significant digits: every float64 reads back exactly
+_BLOCK = 8192  # rows per `%` call in _write_csv
 
 
 def _require(cfg, key, default=None):
@@ -150,11 +150,14 @@ def _kinds(cfg):
         raise ConfigError(f"unknown kernel kind {kind!r}") from None
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, *columns):
+    """CSV of equal-length float columns, one `%` format per block of rows."""
+    table = np.column_stack(columns)
+    row = ",".join([_FLOAT] * table.shape[1]) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for block in np.split(table, range(_BLOCK, len(table), _BLOCK)):
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path, obj):
@@ -181,9 +184,8 @@ def _cmd_flow(cfg, out):
     m = _build_map(cfg)
     t = _num(cfg, "t")
     xs = np.asarray(_nums(cfg, "x_values"))
-    ys = m.flow(xs, t)
     path = os.path.join(out, "flow.csv")
-    _write_csv(path, ["x", "flow"], zip(xs, ys))
+    _write_csv(path, ["x", "flow"], xs, m.flow(xs, t))
     return [path], {"t": t}
 
 
@@ -214,8 +216,7 @@ def _cmd_density(cfg, out):
                 kind, m, T, xp, grid)
         cols.append(vals)
     path = os.path.join(out, "density.csv")
-    _write_csv(path, ["x"] + [k.value for k in kinds],
-               zip(xs, *cols))
+    _write_csv(path, ["x"] + [k.value for k in kinds], xs, *cols)
     return [path], {"mass_defect": defects, "T": T}
 
 
@@ -233,9 +234,9 @@ def _cmd_girsanov_error(cfg, out):
     T = _num(cfg, "T")
     p_values = _nums(cfg, "p_values", [2.0])
     ests = girsanov.lp_errors(m, T, _mc_config(cfg), p_values)
-    rows = [(T, p, e.mean, e.std_error) for p, e in zip(p_values, ests)]
     path = os.path.join(out, "errors.csv")
-    _write_csv(path, ["T", "p", "error_mean", "std_error"], rows)
+    _write_csv(path, ["T", "p", "error_mean", "std_error"], [T] * len(ests),
+               p_values, [e.mean for e in ests], [e.std_error for e in ests])
     return [path], {}
 
 
@@ -246,16 +247,16 @@ def _cmd_rate(cfg, out):
     mc = _mc_config(cfg)
     # one common-path pass per T serves every p; rows stay p-major
     per_t = [girsanov.lp_errors(m, T, mc, p_values) for T in t_grid]
-    rows = []
     fits = {}
     for i, p in enumerate(p_values):
-        errors = [(T, ests[i]) for T, ests in zip(t_grid, per_t)]
-        rows.extend((T, p, est.mean, est.std_error) for T, est in errors)
-        fit = girsanov.rate_fit(errors)
-        fits[_fmt(p)] = {"slope": fit.slope, "intercept": fit.intercept,
-                         "r_squared": fit.r_squared}
+        fit = girsanov.rate_fit([(T, e[i]) for T, e in zip(t_grid, per_t)])
+        fits[_FLOAT % p] = {"slope": fit.slope, "intercept": fit.intercept,
+                            "r_squared": fit.r_squared}
+    ests = [e[i] for i in range(len(p_values)) for e in per_t]
     csv_path = os.path.join(out, "rate_errors.csv")
-    _write_csv(csv_path, ["T", "p", "error_mean", "std_error"], rows)
+    _write_csv(csv_path, ["T", "p", "error_mean", "std_error"],
+               t_grid * len(p_values), np.repeat(p_values, len(t_grid)),
+               [e.mean for e in ests], [e.std_error for e in ests])
     fit_path = os.path.join(out, "rate_fit.json")
     _write_json(fit_path, fits)
     return [csv_path, fit_path], {"fits": fits}
@@ -281,7 +282,7 @@ def _cmd_compose(cfg, out):
         meta["distance_to_oracle"] = evolution.density_distance(
             dens, oracle, "L1")
     csv_path = os.path.join(out, "compose.csv")
-    _write_csv(csv_path, ["x", "density"], zip(grid.points(), dens.values))
+    _write_csv(csv_path, ["x", "density"], grid.points(), dens.values)
     meta_path = os.path.join(out, "compose_meta.json")
     _write_json(meta_path, meta)
     return [csv_path, meta_path], meta
@@ -294,7 +295,7 @@ def _cmd_fp_solve(cfg, out):
     dens = evolution.solve_fokker_planck(
         m, _num(cfg, "T"), _num(cfg, "x_prime"), grid, steps)
     csv_path = os.path.join(out, "fp.csv")
-    _write_csv(csv_path, ["x", "density"], zip(grid.points(), dens.values))
+    _write_csv(csv_path, ["x", "density"], grid.points(), dens.values)
     meta = {"mass": dens.mass(), "n_time_steps": steps}
     meta_path = os.path.join(out, "fp_meta.json")
     _write_json(meta_path, meta)
@@ -316,12 +317,10 @@ def _cmd_sample(cfg, out):
         s = sampler.sample_em_path(m, xp, T, steps, n, seed)
     else:
         raise ConfigError(f"unknown sampling scheme {scheme!r}")
-    outputs = []
     meta = {"scheme": scheme, "n": n, "seed": seed}
     if scfg.get("output", "summary") == "csv":
         path = os.path.join(out, "samples.csv")
-        _write_csv(path, ["value"], ((v,) for v in s.values))
-        outputs.append(path)
+        _write_csv(path, ["value"], s.values)
     else:
         ks = sampler.ks_distance(s, sampler.girsanov_kernel_cdf(m, T, xp))
         summary = {
@@ -332,8 +331,7 @@ def _cmd_sample(cfg, out):
         meta.update(summary)
         path = os.path.join(out, "sample_summary.json")
         _write_json(path, summary)
-        outputs.append(path)
-    return outputs, meta
+    return [path], meta
 
 
 _HANDLERS = {
@@ -366,6 +364,12 @@ def run_command(command, cfg, out_dir=None):
     return manifest
 
 
+def _fail(code, kind, exc, **extra):
+    print(json.dumps({"error": {"kind": kind, **extra,
+                                "message": str(exc) or type(exc).__name__}}))
+    return code
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="shorttime",
@@ -393,15 +397,12 @@ def main(argv=None):
                 cfg[key] = raw
         manifest = run_command(args.command, cfg, args.out_dir)
     except (ConfigError, KeyError, TypeError) as exc:
-        print(json.dumps({"error": {"kind": "config", "message": str(exc)}}))
-        return 2
+        return _fail(2, "config", exc)
     except _DOMAIN_ERRORS + (ValueError,) as exc:
-        print(json.dumps({"error": {
-            "kind": "domain",
-            "module": type(exc).__module__.rsplit(".", 1)[-1],
-            "message": str(exc),
-        }}))
-        return 1
+        return _fail(1, "domain", exc,
+                     module=type(exc).__module__.rsplit(".", 1)[-1])
+    except MemoryError as exc:  # last resort: a size the host cannot hold
+        return _fail(1, "resource", exc)
     print(json.dumps(manifest, sort_keys=True))
     return 0
 

@@ -48,9 +48,10 @@ def sample_em_path(m, x_prime, T, n_steps, n, seed):
     sqrt_dt = math.sqrt(dt)
     values = []
     for rng, k in chunks(n, _CHUNK, seed):
-        x = np.full(k, float(x_prime))
-        for _ in range(n_steps):
-            x = x + m.drift_at(x) * dt + sqrt_dt * rng.standard_normal(k)
+        x, z = np.full(k, float(x_prime)), np.empty(k)
+        for _ in range(n_steps):  # in place; the same sums as x + F dt + dB
+            x += m.drift_at(x) * dt
+            x += np.multiply(rng.standard_normal(out=z), sqrt_dt, out=z)
         values.append(x)
     return SampleSet(values=np.concatenate(values), horizon=float(T),
                      seed=int(seed), scheme="euler_maruyama_path")

@@ -2,12 +2,18 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
+import shorttime
 from shorttime import cli
 
 
@@ -547,3 +553,108 @@ class TestDeepDrift:
         assert payload["error"]["kind"] == "domain"
         assert payload["error"]["module"] == "drift"
         assert "nested deeper" in payload["error"]["message"]
+
+
+def _reference_csv(header, columns):
+    """The bytes of the row-wise writer that _write_csv replaced."""
+    lines = [",".join(header)] + [",".join(f"{float(v):.17g}" for v in row)
+                                  for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteCsv:
+    """The columnar writer gives the row-wise writer's bytes."""
+
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf,
+               -math.inf, math.nan, 2.0, -3.0, 1e16, 0.1, 1.0 / 3.0]
+
+    @staticmethod
+    def _written(path, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        cli._write_csv(str(path), header, *columns)
+        got = path.read_bytes()
+        assert got == _reference_csv(header, columns)
+        return got
+
+    @pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
+    def test_special_values(self, ncols, tmp_path):
+        cols = [np.roll(self.SPECIAL, i) for i in range(ncols)]
+        got = self._written(tmp_path / "s.csv", cols).decode()
+        first = got.splitlines()[1:]
+        assert [line.split(",")[0] for line in first] == [
+            "-0", "0", "4.9406564584124654e-324", "-4.9406564584124654e-324",
+            "1.0000000000000001e+300", "-1.0000000000000001e+300", "inf",
+            "-inf", "nan", "2", "-3", "10000000000000000",
+            "0.10000000000000001", "0.33333333333333331"]
+
+    @pytest.mark.parametrize("nrows", [0, 1, 8191, 8192, 8193, 16385])
+    @pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
+    def test_block_boundaries(self, nrows, ncols, tmp_path):
+        rng = np.random.default_rng(nrows * 10 + ncols)
+        cols = [rng.standard_normal(nrows) * 10.0 ** rng.integers(-300, 300)
+                for _ in range(ncols)]
+        got = self._written(tmp_path / "b.csv", cols)
+        assert got.count(b"\n") == nrows + 1
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "h.csv"
+        cli._write_csv(str(path), ["x", "density"], [], np.empty(0))
+        assert path.read_bytes() == b"x,density\n"
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(table=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                    min_side=0, max_side=7)),
+           block=hs.integers(1, 4))
+    def test_matches_row_writer(self, table, block, tmp_path_factory):
+        # a small block makes a few rows cross block boundaries
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        columns = list(table.T)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK", block)
+            if columns:
+                self._written(path, columns)
+
+    def test_unequal_columns_raise(self, tmp_path):
+        path = tmp_path / "u.csv"
+        with pytest.raises(ValueError):
+            cli._write_csv(str(path), ["a", "b"], [1.0, 2.0], [1.0])
+        assert not path.exists()
+
+
+# Runs the CLI in a fresh interpreter whose own address space is capped at
+# what the imports took plus 256 MB, as tests/test_lamperti.py does for flow.
+_MEMORY_PROBE = """
+import resource, sys
+from shorttime import cli
+pages = int(open("/proc/self/statm").read().split()[0])
+cap = pages * resource.getpagesize() + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS,
+                   (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestMemoryError:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="caps the child's RLIMIT_AS via /proc")
+    @pytest.mark.parametrize("command,cfg", [
+        ("density", {"drift": COS, "T": 0.1, "x_prime": 0.0,
+                     "grid": {"x_min": -5.0, "x_max": 5.0,
+                              "n_points": 50_000_000}}),
+        ("girsanov-error", {"drift": COS, "T": 0.1, "mc": {
+            "n_paths": 64, "n_steps": 100_000_000, "base_seed": 1}}),
+    ], ids=["density", "girsanov-error"])
+    def test_resource_error_json(self, command, cfg, tmp_path):
+        src = os.path.dirname(os.path.dirname(shorttime.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEMORY_PROBE, command, "--config",
+             write_cfg(tmp_path, "c.json", cfg), "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] == "resource"
+        assert "allocate" in error["message"]

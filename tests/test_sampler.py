@@ -91,6 +91,24 @@ class TestSampleEmPath:
         b = sample_em_path(m, 0.0, 0.1, 8, 100, seed=3)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("text", ["2 + cos(x)", "2"])
+    def test_matches_step_loop_reference(self, text):
+        # the allocating loop the in-place one replaced; 70,000 samples span
+        # two RNG chunks
+        m = LampertiMap(parse_drift(text))
+        T, steps, n, seed = 0.1, 8, 70000, 5
+        dt = T / steps
+        sqrt_dt = math.sqrt(dt)
+        ref = []
+        for i, k in enumerate((65536, n - 65536)):
+            rng = chunk_rng(seed, i)
+            x = np.full(k, 0.3)
+            for _ in range(steps):
+                x = x + m.drift_at(x) * dt + sqrt_dt * rng.standard_normal(k)
+            ref.append(x)
+        s = sample_em_path(m, 0.3, T, steps, n, seed)
+        assert np.array_equal(s.values, np.concatenate(ref))
+
     def test_validation(self):
         m = LampertiMap(TWO_PLUS_COS)
         with pytest.raises(ValueError):
