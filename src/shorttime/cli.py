@@ -245,8 +245,11 @@ def _cmd_rate(cfg, out):
     t_grid = _nums(cfg, "T_grid")
     p_values = _nums(cfg, "p_values", [1.0, 2.0])
     mc = _mc_config(cfg)
-    # one common-path pass per T serves every p; rows stay p-major
-    per_t = [girsanov.lp_errors(m, T, mc, p_values) for T in t_grid]
+    if len(set(t_grid)) < 3:  # rate_fit's own check, made before any path
+        raise ValueError("need at least 3 distinct T values")
+    # one common-path pass shares its draws across T_grid and serves every
+    # p; rows stay p-major
+    per_t = girsanov._lp_pass(m, t_grid, mc, p_values)
     fits = {}
     for i, p in enumerate(p_values):
         fit = girsanov.rate_fit([(T, e[i]) for T, e in zip(t_grid, per_t)])

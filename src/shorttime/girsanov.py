@@ -12,6 +12,7 @@ import numpy as np
 from .lamperti import _check_horizon, _result
 
 _CHUNK = 2048  # paths per RNG chunk; fixes seeding independent of workers
+_BLOCK_CELLS = 1 << 16  # path cells per row block: z, inc and B fit in L2
 
 
 def chunk_rng(base_seed, chunk_index):
@@ -139,45 +140,74 @@ def lp_errors(m, T, cfg, p_values):
 
     Each path feeds both sides: the full path for the Ito sums, its endpoint
     for the deterministic approximation.  Pairing is required, not cosmetic:
-    the target is a pathwise L^p distance.  One chunked pass builds the gap
-    d = |M_T - u(T, B_T)| and accumulates sum d^p and sum d^(2p) for every p,
-    so each estimate equals a separate pass at that p bit for bit (cfg.p
-    itself is not used).
+    the target is a pathwise L^p distance.  Each RNG chunk is drawn and
+    reduced in row blocks of about _BLOCK_CELLS cells, so memory does not
+    grow with n_paths * n_steps.  The chunk's gaps d = |M_T - u(T, B_T)|
+    feed sum d^p and sum d^(2p) for every p, so each estimate equals a
+    separate pass at that p bit for bit (cfg.p itself is not used).  T and
+    every p are checked before any path is drawn.
     """
-    _check_horizon(T)
+    return _lp_pass(m, [T], cfg, p_values)[0]
+
+
+def _lp_pass(m, horizons, cfg, p_values):
+    """lp_errors at every T in horizons from one draw of the paths; returns
+    one list of ErrorEstimates per T.  Every T and p is checked first.
+
+    Chunk i of every horizon holds the same normals z, so each row block of
+    z is drawn once, in row order (the stream of one (k, n_steps) draw),
+    and scaled by sqrt(T / n_steps) for each T in turn.  The row sums, the
+    one approx_exponential call per chunk and T on all its endpoints (the
+    Lambda table spans their hull) and the per-chunk d^p sums keep every
+    estimate equal to a separate pass at that T bit for bit.
+    """
+    horizons = [float(T) for T in horizons]
+    for T in horizons:
+        _check_horizon(T)
     p_values = [float(p) for p in p_values]
     for p in p_values:
         if not (math.isfinite(p) and p >= 1.0):
             raise ValueError(f"p must be finite and >= 1, got {p!r}")
     if not p_values:
-        return []
+        return [[] for _ in horizons]
     n_steps = cfg.n_steps
-    dt = T / n_steps
-    sqrt_dt = math.sqrt(dt)
-    total = [0.0] * len(p_values)
-    total_sq = [0.0] * len(p_values)
+    dts = [T / n_steps for T in horizons]
+    scales = [math.sqrt(dt) for dt in dts]
+    rows = max(1, min(_CHUNK, _BLOCK_CELLS // n_steps))
+    z = np.empty((rows, n_steps))
+    inc = np.empty_like(z)
+    # B at the grid times, column 0 being B_0 = 0; the drift is taken at the
+    # left points b[:, :-1] (Ito sums)
+    b = np.empty((rows, n_steps + 1))
+    b[:, 0] = 0.0
+    total = [[0.0] * len(p_values) for _ in horizons]
+    total_sq = [[0.0] * len(p_values) for _ in horizons]
     for rng, k in chunks(cfg.n_paths, _CHUNK, cfg.base_seed):
-        inc = rng.standard_normal((k, n_steps))
-        inc *= sqrt_dt
-        # B at the grid times, column 0 being B_0 = 0; the drift is taken at
-        # the left points buf[:, :-1] (Ito sums)
-        buf = np.empty((k, n_steps + 1))
-        buf[:, 0] = 0.0
-        np.cumsum(inc, axis=1, out=buf[:, 1:])
-        f = m.drift_at(buf[:, :-1])
-        # inc is not needed after the two products, so it holds them in turn
-        ito = np.sum(np.multiply(f, inc, out=inc), axis=1)
-        quad = np.sum(np.multiply(f, f, out=inc), axis=1) * dt
-        m_true = np.exp(ito - 0.5 * quad)
-        m_approx = approx_exponential(m, buf[:, -1], T)
-        d = np.abs(m_true - m_approx)
-        for i, p in enumerate(p_values):
-            dp = d ** p
-            total[i] += float(np.sum(dp))
-            total_sq[i] += float(np.sum(dp * dp))
+        # per horizon and path: the Ito sum, the sum of F^2 and B_T
+        ito, quad, end = np.empty((3, len(horizons), k))
+        for lo in range(0, k, rows):
+            q = min(rows, k - lo)
+            rng.standard_normal(out=z[:q])
+            for j, scale in enumerate(scales):
+                np.multiply(z[:q], scale, out=inc[:q])
+                np.cumsum(inc[:q], axis=1, out=b[:q, 1:])
+                f = m.drift_at(b[:q, :-1])
+                # inc is not needed after the two products: it holds them
+                np.sum(np.multiply(f, inc[:q], out=inc[:q]), axis=1,
+                       out=ito[j, lo:lo + q])
+                np.sum(np.multiply(f, f, out=inc[:q]), axis=1,
+                       out=quad[j, lo:lo + q])
+                end[j, lo:lo + q] = b[:q, -1]
+        for j, T in enumerate(horizons):
+            m_true = np.exp(ito[j] - 0.5 * (quad[j] * dts[j]))
+            d = np.abs(m_true - approx_exponential(m, end[j], T))
+            for i, p in enumerate(p_values):
+                dp = d ** p
+                total[j][i] += float(np.sum(dp))
+                total_sq[j][i] += float(np.sum(dp * dp))
     n = cfg.n_paths
-    return [_lp_estimate(s, s2, n, p)
-            for s, s2, p in zip(total, total_sq, p_values)]
+    return [[_lp_estimate(s, s2, n, p) for s, s2, p in zip(t, t2, p_values)]
+            for t, t2 in zip(total, total_sq)]
 
 
 def _lp_estimate(total, total_sq, n, p):

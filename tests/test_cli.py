@@ -179,6 +179,31 @@ class TestErrorAndRateCommands:
         assert "p must be" in payload["error"]["message"]
         assert calls == []
 
+    @pytest.mark.parametrize("command,extra,message", [
+        ("girsanov-error", {"T": -1.0}, "T must be"),
+        ("rate", {"T_grid": [0.1, 0.05, -1.0]}, "T must be"),
+        ("rate", {"T_grid": [0.1, 0.1, 0.05]}, "3 distinct T"),
+    ], ids=["girsanov-error", "rate", "rate-repeated-T"])
+    def test_invalid_T_fails_before_path_work(self, command, extra, message,
+                                              tmp_path, capsys, monkeypatch):
+        # every T of the grid is checked before the first chunk is drawn
+        from shorttime import girsanov
+
+        calls = []
+        real = girsanov.chunk_rng
+        monkeypatch.setattr(girsanov, "chunk_rng",
+                            lambda *a: calls.append(a) or real(*a))
+        cfg = write_cfg(tmp_path, "c.json", dict(extra, **{
+            "drift": COS, "p_values": [1, 2],
+            "mc": {"n_paths": 400, "n_steps": 32, "base_seed": 7},
+        }))
+        code, payload = run(capsys, command, "--config", cfg,
+                            "--out-dir", str(tmp_path))
+        assert code == 1
+        assert payload["error"]["kind"] == "domain"
+        assert message in payload["error"]["message"]
+        assert calls == []
+
 
 def _sha256(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()

@@ -288,6 +288,79 @@ class TestLpErrors:
         assert lp_errors(LampertiMap(TWO_PLUS_COS), 0.1, cfg, []) == []
 
 
+def _same(ests, refs):
+    return [(e.mean, e.std_error, e.n) for e in ests] == \
+        [(r.mean, r.std_error, r.n) for r in refs]
+
+
+class TestBlockedPass:
+    """Each RNG chunk is drawn and reduced in row blocks of about
+    _BLOCK_CELLS path cells; the estimates must not see the blocks."""
+
+    P_VALUES = [1.0, 2.0]
+    MAPS = [LampertiMap(TWO_PLUS_COS),
+            LampertiMap(builtin_drift("logistic_floor"), alpha=0.5)]
+
+    @pytest.mark.parametrize("m", MAPS, ids=["two_plus_cos",
+                                             "logistic_floor"])
+    @pytest.mark.parametrize("n_paths,n_steps", [
+        # 65 rows a block: partial last blocks in both chunks (2048 and 300)
+        (girsanov._CHUNK + 300, 1000),
+        (2, 1),
+        # one row a block
+        (3, girsanov._BLOCK_CELLS),
+    ], ids=["partial_blocks", "two_paths_one_step", "one_row_blocks"])
+    def test_equals_unblocked_oracle(self, m, n_paths, n_steps):
+        cfg = MCConfig(n_paths=n_paths, n_steps=n_steps, base_seed=23)
+        ests = lp_errors(m, 0.05, cfg, self.P_VALUES)
+        assert _same(ests, [_per_p_pass(m, 0.05, cfg, p)
+                            for p in self.P_VALUES])
+
+    @pytest.mark.parametrize("t_grid", [
+        [0.025, 0.05, 0.1], [0.2, 0.1, 0.05], [0.1, 0.05, 0.1, 0.1],
+    ], ids=["increasing", "decreasing", "repeated"])
+    def test_one_draw_for_all_horizons(self, t_grid):
+        # the rate command's one pass over T_grid equals a pass per T
+        m = self.MAPS[0]
+        cfg = MCConfig(n_paths=girsanov._CHUNK + 300, n_steps=64,
+                       base_seed=31)
+        per_t = girsanov._lp_pass(m, t_grid, cfg, self.P_VALUES)
+        assert len(per_t) == len(t_grid)
+        for T, ests in zip(t_grid, per_t):
+            assert _same(ests, lp_errors(m, T, cfg, self.P_VALUES))
+
+    @pytest.mark.parametrize("t_grid", [
+        [0.1, 0.05, -1.0], [0.1, math.nan], [math.inf, 0.1], [0.0],
+    ])
+    def test_invalid_horizon_fails_before_any_path(self, t_grid,
+                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr(girsanov, "chunk_rng",
+                            lambda *a: calls.append(a) or chunk_rng(*a))
+        m = self.MAPS[0]
+        cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
+        with pytest.raises(ValueError, match="T must be"):
+            girsanov._lp_pass(m, t_grid, cfg, self.P_VALUES)
+        bad = next(T for T in t_grid if not 0.0 < T < math.inf)
+        with pytest.raises(ValueError, match="T must be"):
+            lp_errors(m, bad, cfg, self.P_VALUES)
+        assert calls == []
+
+    def test_memory_does_not_grow_with_the_chunk(self):
+        # one full chunk of 2,048 x 4,096 cells would be 67 MB per array;
+        # the row blocks keep the whole pass far below one such array
+        import tracemalloc
+
+        cfg = MCConfig(n_paths=girsanov._CHUNK, n_steps=4096, base_seed=2)
+        tracemalloc.start()
+        try:
+            lp_errors(self.MAPS[0], 0.1, cfg, self.P_VALUES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 class TestRateFit:
     def test_exact_power_law(self):
         ts = [0.4, 0.2, 0.1, 0.05]
