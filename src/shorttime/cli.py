@@ -34,6 +34,9 @@ class ConfigError(Exception):
 
 _FLOAT = "%.17g"  # 17 significant digits: every float64 reads back exactly
 _BLOCK = 8192  # rows per `%` call in _write_csv
+# Cap on the n_points^2 cells of compose's dense kernel matrix (8 bytes
+# each): 5e7 cells is 400 MB, 12x the 2,001^2 of the pinned config.
+_MAX_DENSE_CELLS = 50_000_000
 
 
 def _require(cfg, key, default=None):
@@ -266,13 +269,20 @@ def _cmd_rate(cfg, out):
 
 
 def _cmd_compose(cfg, out):
-    m = _build_map(cfg)
     grid = _grid(cfg)
+    if grid.n_points ** 2 > _MAX_DENSE_CELLS:
+        raise ConfigError(
+            f"'grid.n_points' = {grid.n_points} needs {grid.n_points ** 2} "
+            f"kernel cells, past the cap of {_MAX_DENSE_CELLS}")
+    kinds = _kinds(cfg)
+    if len(kinds) != 1:
+        raise ConfigError("compose takes one kernel 'kind', not 'all'")
+    m = _build_map(cfg)
     plan = CompositionPlan(
         total_time=_num(cfg, "T"),
         n_slices=_num(cfg, "n_slices", count=True),
         grid=grid,
-        kind=_kinds(cfg)[0],
+        kind=kinds[0],
     )
     xp = _num(cfg, "x_prime")
     dens = evolution.compose_chapman(m, plan, xp)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.sparse import diags, identity
 from scipy.sparse.linalg import splu
 
-from .kernels import KernelKind, _check_tails, kernel_matrix
+from .kernels import KernelKind, _check_tails, _gaussian, kernel_matrix
 from .lamperti import _check_horizon, _result
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -65,7 +65,7 @@ def liouville_density(m, t, T, x, x_prime):
     _check_horizon(T, t)
     y, ratio = m.transport(x, t)
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
-    return _result(ratio * norm * np.exp(-np.square(y - x_prime) / (2.0 * T)))
+    return _result(_gaussian(y, x_prime, T, ratio * norm))
 
 
 def _trapezoid_weights(grid):
@@ -87,9 +87,8 @@ def compose_chapman(m, plan, x_prime):
     _check_tails(p, 1e-10, BoundaryError,
                  "compose_chapman first slice: density")
     if plan.n_slices > 1:
-        k = kernel_matrix(m, plan.kind, tau, xs, xs)
-        w = _trapezoid_weights(plan.grid)
-        kw = k * w[None, :]
+        kw = kernel_matrix(m, plan.kind, tau, xs, xs)
+        kw *= _trapezoid_weights(plan.grid)  # in place: one n x n buffer
         for _ in range(plan.n_slices - 1):
             p = kw @ p
     _check_tails(p, 1e-10, BoundaryError, "compose_chapman result: density")

@@ -12,6 +12,9 @@ import numpy as np
 
 from .lamperti import _GL16_W, _GL16_X, LampertiMap, _check_horizon, _result
 
+# Cells per row block of _gaussian: 512 KiB of float64, well inside L2.
+_BLOCK_CELLS = 1 << 16
+
 
 class TailMassError(Exception):
     """Grid too narrow: kernel mass at the boundary is not negligible."""
@@ -63,6 +66,43 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
 
+def _gaussian(c, x_prime, T, scale, shift=None, damp=None):
+    """scale * exp(-(c - x' - shift)^2 / 2T - damp), broadcast over all
+    operands (shift and damp may be None), into one fresh buffer.
+
+    The buffer is filled in blocks of whole rows of about _BLOCK_CELLS
+    cells, one in-place ufunc chain per block, so no grid-sized temporary
+    exists. The chain keeps the operation order of that one-line formula,
+    so every cell is bitwise what the whole-grid expression gives; the
+    division by -2T equals (-a) / 2T exactly, as IEEE rounding is symmetric
+    in sign.
+    """
+    ops = [np.asarray(v, dtype=float) if v is not None else None
+           for v in (c, x_prime, shift, damp, scale)]
+    shape = np.broadcast_shapes(*(v.shape for v in ops if v is not None))
+    out = np.empty(shape)
+    ops = [np.broadcast_to(v, shape) if v is not None else None for v in ops]
+    if out.ndim == 0:
+        blocks = [...]  # a 0-d view: out[()] would be a scalar copy
+    else:
+        rows = max(1, _BLOCK_CELLS // max(1, math.prod(shape[1:])))
+        blocks = [slice(i, i + rows) for i in range(0, shape[0], rows)]
+    for key in blocks:
+        o = out[key]
+        c, xp, shift, damp, scale = (v[key] if v is not None else None
+                                     for v in ops)
+        np.subtract(c, xp, out=o)
+        if shift is not None:
+            np.subtract(o, shift, out=o)
+        np.square(o, out=o)
+        np.divide(o, -2.0 * T, out=o)
+        if damp is not None:
+            np.subtract(o, damp, out=o)
+        np.exp(o, out=o)
+        np.multiply(o, scale, out=o)
+    return out
+
+
 def kernel_eval(kind, m, T, x, x_prime):
     """Density approximation p(T, x | 0, x_prime); broadcast over x/x_prime.
 
@@ -73,7 +113,8 @@ def kernel_eval(kind, m, T, x, x_prime):
     haken:           identical closed form to backward_euler
 
     The flow and the jets depend on x only and the euler_maruyama drift on x'
-    only, so on a product grid each runs once per point, not once per cell.
+    only, so on a product grid each runs once per point, not once per cell;
+    the cells themselves fill one buffer of the broadcast shape.
     """
     _check_horizon(T)
     x = np.asarray(x, dtype=float)
@@ -81,13 +122,12 @@ def kernel_eval(kind, m, T, x, x_prime):
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
     if kind is KernelKind.GIRSANOV:
         y, ratio = m.transport(x, T)
-        out = norm * ratio * np.exp(-np.square(y - xp) / (2.0 * T))
+        out = _gaussian(y, xp, T, norm * ratio)
     elif kind is KernelKind.EULER_MARUYAMA:
-        fp = m.drift_at(xp)
-        out = norm * np.exp(-np.square(x - xp - fp * T) / (2.0 * T))
+        out = _gaussian(x, xp, T, norm, shift=m.drift_at(xp) * T)
     elif kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
         f, f1, _ = m.drift_jets(x)
-        out = norm * np.exp(-np.square(x - xp - f * T) / (2.0 * T) - f1 * T)
+        out = _gaussian(x, xp, T, norm, shift=f * T, damp=f1 * T)
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
     return _result(out)

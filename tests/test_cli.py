@@ -333,6 +333,20 @@ class TestComposeAndFp:
         assert manifest["mass"] == pytest.approx(1.0, abs=1e-5)
         assert 0.0 < manifest["distance_to_oracle"] < 0.2
 
+    def test_compose_refuses_all_kinds(self, tmp_path, capsys):
+        # compose runs one kernel; 'all' used to run girsanov alone
+        cfg = write_cfg(tmp_path, "c.json", {
+            "drift": COS, "T": 0.2, "x_prime": 0.0, "n_slices": 2,
+            "grid": {"x_min": -4.0, "x_max": 5.0, "n_points": 301},
+        })
+        out = tmp_path / "out"
+        code, payload = run(capsys, "compose", "--config", cfg,
+                            "--out-dir", str(out), "--set", "kind=all")
+        assert code == 2
+        assert payload["error"]["kind"] == "config"
+        assert "'kind'" in payload["error"]["message"]
+        assert not out.exists() or not any(out.iterdir())
+
     def test_fp_solve(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
             "drift": {"expr": "0"}, "T": 0.5, "x_prime": 0.0,
@@ -659,9 +673,23 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def _run_capped(command, cfg, tmp_path):
+    """The finished child that ran the CLI under _MEMORY_PROBE's
+    address-space cap."""
+    src = os.path.dirname(os.path.dirname(shorttime.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    return subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE, command, "--config",
+         write_cfg(tmp_path, "c.json", cfg), "--out-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="caps the child's RLIMIT_AS via /proc")
 class TestMemoryError:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="caps the child's RLIMIT_AS via /proc")
     @pytest.mark.parametrize("command,cfg", [
         ("density", {"drift": COS, "T": 0.1, "x_prime": 0.0,
                      "grid": {"x_min": -5.0, "x_max": 5.0,
@@ -670,16 +698,22 @@ class TestMemoryError:
             "n_paths": 64, "n_steps": 100_000_000, "base_seed": 1}}),
     ], ids=["density", "girsanov-error"])
     def test_resource_error_json(self, command, cfg, tmp_path):
-        src = os.path.dirname(os.path.dirname(shorttime.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", _MEMORY_PROBE, command, "--config",
-             write_cfg(tmp_path, "c.json", cfg), "--out-dir", str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = _run_capped(command, cfg, tmp_path)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == ""
         error = json.loads(proc.stdout)["error"]
         assert error["kind"] == "resource"
         assert "allocate" in error["message"]
+
+    def test_compose_cell_cap(self, tmp_path):
+        # 20,001^2 kernel cells would take 2.98 GiB: refused before any
+        # allocation, so the address-space limit is never reached
+        proc = _run_capped("compose", {
+            "drift": COS, "T": 1.0, "x_prime": 0.0, "n_slices": 32,
+            "grid": {"x_min": -6.5, "x_max": 11.5, "n_points": 20_001},
+        }, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] == "config"
+        assert "grid.n_points" in error["message"]
+        assert not any((tmp_path / "out").iterdir())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -6,16 +7,19 @@ trapezoid = getattr(np, "trapezoid", None) or np.trapz
 import pytest
 
 from shorttime import (
+    CompositionPlan,
     GridSpec,
     InitialLaw,
     KernelKind,
     LampertiMap,
+    compose_chapman,
     kernel_eval,
     kernel_matrix,
     marginal_density,
     normalization_defect,
     parse_drift,
 )
+from shorttime import kernels as kernels_mod
 from shorttime.kernels import TailMassError
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
@@ -188,3 +192,81 @@ class TestMarginalDensity:
         vals = marginal_density(KernelKind.GIRSANOV, TWO_PLUS_COS, law, 0.1,
                                 xs)
         assert trapezoid(vals, xs) == pytest.approx(1.0, abs=1e-7)
+
+
+def reference_kernel(kind, m, T, x, x_prime):
+    """kernel_eval as one whole-grid expression per kind: the reference the
+    row-blocked fill must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    xp = np.asarray(x_prime, dtype=float)
+    norm = 1.0 / math.sqrt(2.0 * math.pi * T)
+    if kind is KernelKind.GIRSANOV:
+        y, ratio = m.transport(x, T)
+        return norm * ratio * np.exp(-np.square(y - xp) / (2.0 * T))
+    if kind is KernelKind.EULER_MARUYAMA:
+        fp = m.drift_at(xp)
+        return norm * np.exp(-np.square(x - xp - fp * T) / (2.0 * T))
+    f, f1, _ = m.drift_jets(x)
+    return norm * np.exp(-np.square(x - xp - f * T) / (2.0 * T) - f1 * T)
+
+
+class TestBlockedFill:
+    M = LampertiMap(TWO_PLUS_COS)
+    T = 0.05
+    # 2,001 columns make 32-row blocks; 70 rows end in a partial block, and
+    # 70,001 points make two blocks of a 1-D grid
+    SHAPES = {
+        "scalar": ((), ()),
+        "1d_x_scalar": ((70_001,), ()),
+        "column_x_row": ((70, 1), (1, 2001)),
+        "row_x_column": ((1, 2001), (70, 1)),
+        "single_row": ((1, 1), (1, 2001)),
+    }
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    @pytest.mark.parametrize("shapes", SHAPES.values(), ids=SHAPES)
+    def test_equals_whole_grid_formula(self, kind, shapes):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1.0, 2.0, size=shapes[0])
+        xp = rng.uniform(-0.5, 0.5, size=shapes[1])
+        got = kernel_eval(kind, self.M, self.T, x, xp)
+        want = reference_kernel(kind, self.M, self.T, x, xp)
+        if np.ndim(want) == 0:
+            assert type(got) is float
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_small_blocks(self, kind, monkeypatch):
+        # 3-row blocks over 11 rows: every block edge lands mid-grid
+        monkeypatch.setattr(kernels_mod, "_BLOCK_CELLS", 21)
+        x = np.linspace(-1.0, 2.0, 11)
+        xp = np.linspace(-0.5, 0.5, 7)
+        got = kernel_matrix(self.M, kind, self.T, x, xp)
+        want = reference_kernel(kind, self.M, self.T, x[:, None], xp[None, :])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_nan_cells(self, kind):
+        # the flow refuses a non-finite x, so NaN enters through x' for
+        # girsanov and through both for the others
+        x = np.linspace(-1.0, 2.0, 40)
+        if kind is not KernelKind.GIRSANOV:
+            x[[0, 17]] = np.nan
+        xp = np.linspace(-0.5, 0.5, 2001)
+        xp[[3, 2000]] = np.nan
+        got = kernel_matrix(self.M, kind, self.T, x, xp)
+        want = reference_kernel(kind, self.M, self.T, x[:, None], xp[None, :])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.isnan(got[:, 3]).all()
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_compose_holds_one_matrix(self):
+        grid = GridSpec(-6.5, 11.5, 2001)
+        plan = CompositionPlan(1.0, 32, grid, KernelKind.GIRSANOV)
+        tracemalloc.start()
+        try:
+            compose_chapman(LampertiMap(TWO_PLUS_COS), plan, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * grid.n_points ** 2 * 8
