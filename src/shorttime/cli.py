@@ -40,7 +40,12 @@ _MAX_DENSE_CELLS = 50_000_000
 
 
 def _require(cfg, key, default=None):
-    """cfg[key]; without it, the default, or ConfigError if there is none."""
+    """cfg[key]; without it, the default, or ConfigError if there is none.
+    A cfg that is not a JSON object (a sub-object given as a string, say)
+    is a ConfigError too."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(
+            f"expected a JSON object holding {key!r}, got {cfg!r}")
     if key not in cfg and default is None:
         raise ConfigError(f"config is missing required key {key!r}")
     return cfg.get(key, default)
@@ -64,12 +69,15 @@ def _num(cfg, key, default=None, count=False):
     return _number(_require(cfg, key, default), key, count)
 
 
-def _nums(cfg, key, default=None, n=None):
-    """The list of numbers at cfg[key]; n, if given, is its length."""
-    v = _require(cfg, key, default)
+def _numbers(v, key, n=None):
+    """v as a list of numbers; n, if given, is its length."""
     if not isinstance(v, list) or len(v) != (n or len(v)):
         raise ConfigError(f"{key!r} must be a list of {n or 'finite'} numbers")
     return [_number(e, key) for e in v]
+
+
+def _nums(cfg, key, default=None, n=None):
+    return _numbers(_require(cfg, key, default), key, n)
 
 
 def _finite_float(text):
@@ -110,7 +118,6 @@ def _build_drift(cfg):
 def _map_kwargs(cfg):
     return {
         "alpha": _num(cfg, "alpha", 0.0),
-        "quad_tol": _num(cfg, "quad_tol", 1e-10),
         "root_tol": _num(cfg, "root_tol", 1e-10),
         "reference_point": _num(cfg, "reference_point", 0.0),
     }
@@ -201,9 +208,11 @@ def _cmd_density(cfg, out):
     xs = grid.points()
     law = None
     if "law" in cfg:
-        law = InitialLaw(tuple(
-            (_number(a, "law.atoms"), _number(w, "law.atoms"))
-            for a, w in cfg["law"]["atoms"]))
+        atoms = _require(_require(cfg, "law"), "atoms")
+        if not isinstance(atoms, list):
+            raise ConfigError("'law.atoms' must be a list of "
+                              "[location, weight] pairs")
+        law = InitialLaw(tuple(_numbers(e, "law.atoms", 2) for e in atoms))
     cols = []
     defects = {}
     for kind in kinds:
@@ -323,6 +332,9 @@ def _cmd_sample(cfg, out):
     n = _num(scfg, "n", count=True)
     seed = _num(scfg, "seed", cfg.get("seed", 0), count=True)
     scheme = scfg.get("scheme", "crypto")
+    output = scfg.get("output", "summary")
+    if output not in ("summary", "csv"):
+        raise ConfigError(f"unknown sample output {output!r}")
     if scheme == "crypto":
         s = sampler.sample_crypto(m, xp, T, n, seed)
     elif scheme == "euler_maruyama_path":
@@ -331,7 +343,7 @@ def _cmd_sample(cfg, out):
     else:
         raise ConfigError(f"unknown sampling scheme {scheme!r}")
     meta = {"scheme": scheme, "n": n, "seed": seed}
-    if scfg.get("output", "summary") == "csv":
+    if output == "csv":
         path = os.path.join(out, "samples.csv")
         _write_csv(path, ["value"], s.values)
     else:
@@ -363,6 +375,10 @@ def run_command(command, cfg, out_dir=None):
     """Dispatch one command; returns the manifest dict."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
+    mc = cfg.get("mc", {})
+    if not isinstance(mc, dict):
+        raise ConfigError(f"'mc' must be a JSON object, got {mc!r}")
+    seed = cfg.get("seed", mc.get("base_seed"))
     out = (out_dir or cfg.get("out_dir") or os.environ.get("SHORTTIME_OUT_DIR")
            or ".")
     os.makedirs(out, exist_ok=True)
@@ -370,7 +386,7 @@ def run_command(command, cfg, out_dir=None):
     manifest = {
         "command": command,
         "config_sha256": _config_hash(cfg),
-        "seed": cfg.get("seed", cfg.get("mc", {}).get("base_seed")),
+        "seed": seed,
         "outputs": outputs,
     }
     manifest.update(extra)

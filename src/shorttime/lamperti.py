@@ -18,7 +18,7 @@ class LampertiError(Exception):
 
 
 class QuadratureError(LampertiError):
-    """Adaptive integration failed, or a table for Lambda passed its budget."""
+    """A table for Lambda passed its cell budget."""
 
 
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
@@ -26,12 +26,8 @@ _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL_X = np.concatenate([_GL16_X, _GL8_X])  # both rules' nodes, one pass
 
 _EPS = np.finfo(float).eps
-_MAX_REFINE = 60
-_MAX_NODES = 1 << 18  # cells of one table
-_MAX_LIVE = 1 << 16  # live subintervals of one quadrature call
-_CHUNK = 1 << 13  # cells per quadrature call: a runaway range trips
-# _MAX_LIVE within its first chunk, in a fraction of a second
-_BLOCK = 1 << 14  # subintervals per drift evaluation, which bounds memory
+_MAX_NODES = 1 << 18  # cells of one table, which ends a runaway range
+_CHUNK = 1 << 13  # cells per quadrature call, which bounds its memory
 _H0 = 0.05  # narrowest first cell; a cell is split until its midpoint holds
 _FIRST_CELLS = 1 << 12  # first cells of a hull, at least _H0 wide
 _MAX_SPLIT = 4  # halvings of a failed cell per round
@@ -92,7 +88,7 @@ def _horner(c, v):
 
 
 class LampertiMap:
-    """Holds the drift, the scalar shift alpha, and evaluation tolerances.
+    """Holds the drift, the scalar shift alpha, and the one tolerance root_tol.
 
     Evaluation is pure given the fields; instances may be shared freely.
     The effective drift is F(x) = f(alpha + x).  Lambda and its inverse come
@@ -101,11 +97,9 @@ class LampertiMap:
     were built from, so the cache never changes a result.
     """
 
-    def __init__(self, drift, alpha=0.0, quad_tol=1e-10, root_tol=1e-10,
-                 reference_point=0.0):
+    def __init__(self, drift, alpha=0.0, root_tol=1e-10, reference_point=0.0):
         self.drift = drift
         self.alpha = float(alpha)
-        self.quad_tol = float(quad_tol)
         self.root_tol = float(root_tol)
         self.reference_point = float(reference_point)
         self.is_constant = drift.is_constant
@@ -137,64 +131,45 @@ class LampertiMap:
     # -- quadrature ---------------------------------------------------------
 
     def _segment_integrals(self, a, b):
-        """Integral of 1/F over each [a_i, b_i] (a_i <= b_i), adaptively: a
-        piece is done when its 16- and 8-point sums agree to its share of
-        quad_tol, or to 1e-15 relative, a few roundings of such sums."""
-        total = np.zeros_like(a)
-        idx = np.arange(a.size)
-        lo, hi = a.copy(), b.copy()
-        tol = self.quad_tol
+        """16-point Gauss-Legendre integral of 1/F over each [a_i, b_i]
+        (a_i <= b_i), and whether the 8-point sum agrees with it: to the
+        piece's share of root_tol, or to 1e-15 relative, a few roundings of
+        such sums."""
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        v = self._inv_drift(mid[:, None] + half[:, None] * _GL_X)
+        i16 = half * (v[:, :16] @ _GL16_W)
+        i8 = half * (v[:, 16:] @ _GL8_W)
         span = max(float(np.sum(b - a)), 1e-300)
-        for _ in range(_MAX_REFINE):
-            if idx.size == 0:
-                return total
-            if idx.size > _MAX_LIVE:
-                raise QuadratureError(
-                    f"{idx.size} live subintervals exceed the budget of "
-                    f"{_MAX_LIVE} at quad_tol={tol}"
-                )
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            i16, i8 = np.empty_like(mid), np.empty_like(mid)
-            for k in range(0, mid.size, _BLOCK):
-                s = slice(k, k + _BLOCK)
-                v = self._inv_drift(mid[s, None] + half[s, None] * _GL_X)
-                i16[s] = half[s] * (v[:, :16] @ _GL16_W)
-                i8[s] = half[s] * (v[:, 16:] @ _GL8_W)
-            local_tol = tol * np.maximum(hi - lo, 1e-300) / span
-            ok = np.abs(i16 - i8) <= np.maximum(local_tol, 1e-15 * np.abs(i16))
-            np.add.at(total, idx[ok], i16[ok])
-            bad = ~ok
-            idx = np.concatenate([idx[bad], idx[bad]])
-            lo = np.concatenate([lo[bad], mid[bad]])
-            hi = np.concatenate([mid[bad], hi[bad]])
-        raise QuadratureError(
-            f"{idx.size} subintervals failed to converge to quad_tol={tol}"
-        )
+        local_tol = self.root_tol * np.maximum(b - a, 1e-300) / span
+        ok = np.abs(i16 - i8) <= np.maximum(local_tol, 1e-15 * np.abs(i16))
+        return i16, ok
 
     # -- the table ------------------------------------------------------------
 
     def _cells(self, lo, hi):
         """Lambda's increment over each cell [lo, hi] and the cell's midpoint
         error, less what the rounding of x alone explains: its Hermite
-        Lambda against adaptive quadrature, and the residual of its Hermite
-        inverse under that quadrature."""
+        Lambda against the quadrature of its halves, and the residual of its
+        Hermite inverse under quadrature.  The error is inf, so the cell is
+        split, where an 8-point sum disagrees with its 16-point one."""
         ends = np.stack([lo, hi])
         g = self._inv_drift(ends)
         _, f1, _ = self.drift_jets(ends)
         mid = 0.5 * (lo + hi)
-        half = self._segment_integrals(np.concatenate([lo, mid]),
-                                       np.concatenate([mid, hi]))
+        half, ok = self._segment_integrals(np.concatenate([lo, mid]),
+                                           np.concatenate([mid, hi]))
         first = half[:lo.size]
         seg = first + half[lo.size:]
         y = np.stack([np.zeros_like(seg), seg])
         fwd = _hermite(ends, y, g, -f1 * g * g)
         inv = _hermite(y, ends, 1.0 / g, f1 / g)
         x_hat = np.clip(_horner(inv, 0.5 * seg), lo, hi)
-        err = np.maximum(
-            np.abs(_horner(fwd, mid) - first),
-            np.abs(self._segment_integrals(lo, x_hat) - 0.5 * seg))
-        return seg, err - 2.0 * _EPS * np.max(np.abs(ends) * g, axis=0)
+        res, res_ok = self._segment_integrals(lo, x_hat)
+        err = np.maximum(np.abs(_horner(fwd, mid) - first),
+                         np.abs(res - 0.5 * seg))
+        err -= 2.0 * _EPS * np.max(np.abs(ends) * g, axis=0)
+        return seg, np.where(ok[:lo.size] & ok[lo.size:] & res_ok, err, np.inf)
 
     def _knots(self, a, b, anchor):
         """Knots on [a, b] and Lambda's increment over each cell: first at

@@ -151,8 +151,7 @@ def test_05_constant_drift_collapse():
 
 
 def test_06_linear_drift_oracle():
-    m = LampertiMap(parse_drift("x"), reference_point=1.0,
-                    quad_tol=1e-13, root_tol=1e-13)
+    m = LampertiMap(parse_drift("x"), reference_point=1.0, root_tol=1e-13)
     xp = 1.0
     T0 = 0.25
     xs = np.linspace(0.4, 3.0, 27)

@@ -496,9 +496,11 @@ class TestNonFiniteConfig:
 
 
 class TestConfigNumbers:
-    """Every config number goes through one reader: strings, booleans,
-    non-finite values, integers past the float range and fractional counts
-    exit 2 before any artifact is written."""
+    """Every config number goes through one reader, and every config
+    shape is checked: strings, booleans, non-finite values, integers past
+    the float range, fractional counts, sub-objects that are not JSON
+    objects, law atoms that are not [location, weight] pairs and unknown
+    sample outputs exit 2 before any artifact is written."""
 
     GRID = {"x_min": -4.0, "x_max": 5.0, "n_points": 301}
     MC = {"n_paths": 8, "n_steps": 4, "base_seed": 1}
@@ -540,6 +542,13 @@ class TestConfigNumbers:
         ("validate", {"scan_range": [-1.0, "1"]}, []),
         ("validate", {"scan_range": [-1.0]}, []),
         ("validate", {"epsilon": "0.5"}, []),
+        ("girsanov-error", {}, ['mc="n_paths"']),
+        ("sample", {}, ['sample="n"']),
+        ("density", {}, ["mc=5"]),
+        ("density", {"law": {"atoms": [[0.0]]}}, []),
+        ("density", {"law": {"atoms": [[0.0, 0.5, 0.5]]}}, []),
+        ("density", {"law": {"atoms": "ab"}}, []),
+        ("sample", {"sample": {"n": 10, "seed": 1, "output": "cvs"}}, []),
     ]
 
     def _run(self, capsys, tmp_path, command, changes, overrides):

@@ -44,8 +44,7 @@ class TestKernelEval:
     def test_linear_drift_girsanov_exact(self):
         # dX = X dt + dB from x' is N(e^T x', e^{2T} T); the flow-based
         # kernel reproduces it pointwise
-        m = LampertiMap(parse_drift("x"), reference_point=1.0,
-                        quad_tol=1e-13, root_tol=1e-13)
+        m = LampertiMap(parse_drift("x"), reference_point=1.0, root_tol=1e-13)
         T, xp = 0.25, 1.0
         xs = np.linspace(0.4, 3.0, 27)
         expected = gauss(xs, math.exp(T) * xp, math.exp(2 * T) * T)
