@@ -34,9 +34,13 @@ class ConfigError(Exception):
 
 _FLOAT = "%.17g"  # 17 significant digits: every float64 reads back exactly
 _BLOCK = 8192  # rows per `%` call in _write_csv
-# Cap on the n_points^2 cells of compose's dense kernel matrix (8 bytes
-# each): 5e7 cells is 400 MB, 12x the 2,001^2 of the pinned config.
+# Cap on the n_points^2 cells of compose's kernel matrix, of which its band
+# keeps n_points x W: 5e7 cells is 12x the 2,001^2 of the pinned config.
 _MAX_DENSE_CELLS = 50_000_000
+# Cap on n_time_steps x grid.n_points of a Fokker-Planck solve: 1e8 cell
+# updates take a few seconds, 16x the largest solve in the configs and tests
+# (3,001 points x 2,000 steps).
+_MAX_FP_WORK = 100_000_000
 
 
 def _require(cfg, key, default=None):
@@ -63,6 +67,15 @@ def _number(v, key, count=False):
         raise ConfigError(f"{key!r} must be a finite "
                           f"{'whole ' if count else ''}JSON number, got {v!r}")
     return int(v) if count else float(v)
+
+
+def _flag(cfg, key):
+    """cfg[key] as a JSON boolean, False when absent; any other value, the
+    string "false" too, is a ConfigError."""
+    v = _require(cfg, key, False)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{key!r} must be JSON true or false, got {v!r}")
+    return v
 
 
 def _num(cfg, key, default=None, count=False):
@@ -133,7 +146,7 @@ def _assumption(cfg, d):
 def _build_map(cfg, d=None):
     d = d if d is not None else _build_drift(cfg)
     m = LampertiMap(d, **_map_kwargs(cfg))
-    if not cfg.get("assume_valid", False) and "epsilon" in cfg:
+    if not _flag(cfg, "assume_valid") and "epsilon" in cfg:
         report = _assumption(cfg, d)
         if not report.passed:
             raise DriftError(
@@ -212,7 +225,11 @@ def _cmd_density(cfg, out):
         if not isinstance(atoms, list):
             raise ConfigError("'law.atoms' must be a list of "
                               "[location, weight] pairs")
-        law = InitialLaw(tuple(_numbers(e, "law.atoms", 2) for e in atoms))
+        try:
+            law = InitialLaw(tuple(_numbers(e, "law.atoms", 2)
+                                   for e in atoms))
+        except ValueError as exc:
+            raise ConfigError(f"'law.atoms': {exc}") from None
     cols = []
     defects = {}
     for kind in kinds:
@@ -230,6 +247,18 @@ def _cmd_density(cfg, out):
     path = os.path.join(out, "density.csv")
     _write_csv(path, ["x"] + [k.value for k in kinds], xs, *cols)
     return [path], {"mass_defect": defects, "T": T}
+
+
+def _fp_steps(cfg, grid):
+    """n_time_steps for a Fokker-Planck solve on grid, refused past
+    _MAX_FP_WORK cell updates before any work."""
+    steps = _num(cfg, "n_time_steps", 2000, count=True)
+    if steps * grid.n_points > _MAX_FP_WORK:
+        raise ConfigError(
+            f"'n_time_steps' = {steps} on {grid.n_points} grid points needs "
+            f"{steps * grid.n_points} cell updates, past the cap of "
+            f"{_MAX_FP_WORK}")
+    return steps
 
 
 def _mc_config(cfg):
@@ -294,13 +323,14 @@ def _cmd_compose(cfg, out):
         kind=kinds[0],
     )
     xp = _num(cfg, "x_prime")
+    oracle_steps = (_fp_steps(cfg, grid) if _flag(cfg, "compare_to_oracle")
+                    else None)
     dens = evolution.compose_chapman(m, plan, xp)
     meta = {"mass": dens.mass(), "n_slices": plan.n_slices,
             "kind": plan.kind.value}
-    if cfg.get("compare_to_oracle", False):
+    if oracle_steps is not None:
         oracle = evolution.solve_fokker_planck(
-            m, plan.total_time, xp, grid,
-            _num(cfg, "n_time_steps", 2000, count=True))
+            m, plan.total_time, xp, grid, oracle_steps)
         meta["distance_to_oracle"] = evolution.density_distance(
             dens, oracle, "L1")
     csv_path = os.path.join(out, "compose.csv")
@@ -313,7 +343,7 @@ def _cmd_compose(cfg, out):
 def _cmd_fp_solve(cfg, out):
     m = _build_map(cfg)
     grid = _grid(cfg)
-    steps = _num(cfg, "n_time_steps", 2000, count=True)
+    steps = _fp_steps(cfg, grid)
     dens = evolution.solve_fokker_planck(
         m, _num(cfg, "T"), _num(cfg, "x_prime"), grid, steps)
     csv_path = os.path.join(out, "fp.csv")

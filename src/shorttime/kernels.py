@@ -9,11 +9,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse import csr_matrix
 
 from .lamperti import _GL16_W, _GL16_X, LampertiMap, _check_horizon, _result
 
 # Cells per row block of _gaussian: 512 KiB of float64, well inside L2.
 _BLOCK_CELLS = 1 << 16
+# Half-width of _kernel_band in standard deviations sqrt(T): a cell further
+# out is below exp(-_BAND_SIGMAS^2 / 2) = 1e-16 of its row's peak.
+_BAND_SIGMAS = math.sqrt(2.0 * math.log(1e16))
 
 
 class TailMassError(Exception):
@@ -103,6 +108,23 @@ def _gaussian(c, x_prime, T, scale, shift=None, damp=None):
     return out
 
 
+def _operands(kind, m, T, x, x_prime):
+    """The _gaussian operands (c, x', scale, shift, damp) of the kind's
+    kernel at x and x_prime: the one place the kernel formulas live.  Only
+    the euler_maruyama shift depends on x'; c, scale, damp and the
+    backward_euler/haken shift depend on x alone."""
+    norm = 1.0 / math.sqrt(2.0 * math.pi * T)
+    if kind is KernelKind.GIRSANOV:
+        y, ratio = m.transport(x, T)
+        return y, x_prime, norm * ratio, None, None
+    if kind is KernelKind.EULER_MARUYAMA:
+        return x, x_prime, norm, m.drift_at(x_prime) * T, None
+    if kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
+        f, f1, _ = m.drift_jets(x)
+        return x, x_prime, norm, f * T, f1 * T
+    raise ValueError(f"unknown kernel kind {kind!r}")
+
+
 def kernel_eval(kind, m, T, x, x_prime):
     """Density approximation p(T, x | 0, x_prime); broadcast over x/x_prime.
 
@@ -119,18 +141,8 @@ def kernel_eval(kind, m, T, x, x_prime):
     _check_horizon(T)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(x_prime, dtype=float)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * T)
-    if kind is KernelKind.GIRSANOV:
-        y, ratio = m.transport(x, T)
-        out = _gaussian(y, xp, T, norm * ratio)
-    elif kind is KernelKind.EULER_MARUYAMA:
-        out = _gaussian(x, xp, T, norm, shift=m.drift_at(xp) * T)
-    elif kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
-        f, f1, _ = m.drift_jets(x)
-        out = _gaussian(x, xp, T, norm, shift=f * T, damp=f1 * T)
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return _result(out)
+    c, xp, scale, shift, damp = _operands(kind, m, T, x, xp)
+    return _result(_gaussian(c, xp, T, scale, shift=shift, damp=damp))
 
 
 def kernel_matrix(m, kind, T, xs, x_primes):
@@ -138,6 +150,62 @@ def kernel_matrix(m, kind, T, xs, x_primes):
     kernel_eval with xs as a column and x_primes as a row."""
     return kernel_eval(kind, m, T, np.reshape(xs, (-1, 1)),
                        np.reshape(x_primes, (1, -1)))
+
+
+def _kernel_band(m, kind, T, xs, weights):
+    """kernel_matrix(m, kind, T, xs, xs) * weights, the weights scaling the
+    columns, as a CSR matrix of its band: the cells within _BAND_SIGMAS
+    standard deviations of their row's centre, W per row.
+
+    Every cell is a Gaussian in a_i - b_j: a the row centre (the backward
+    flow of x_i for girsanov, x_i - F(x_i) T for backward_euler/haken, x_i
+    for euler_maruyama), b the column centre (x'_j, or x'_j + F(x'_j) T for
+    euler_maruyama).  Row i keeps the columns from the first j whose
+    running max of b reaches a_i - cut to the last j whose running min from
+    the right stays within a_i + cut, so a non-monotone b widens the window
+    and drops no cell inside the cut.  W is the widest window; each row's
+    start is clipped to [0, n - W].  The cells are filled by _gaussian in
+    row blocks of about _BLOCK_CELLS, each bitwise the kernel_matrix cell
+    times its weight.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = xs.size
+    ops = _operands(kind, m, T, xs[:, None], xs[None, :])
+    # row operands are (n, 1) or 0-d, column operands (1, n)
+    cols = [np.ndim(v) == 2 and v.shape[0] == 1 for v in ops]
+    c, xp, _, shift, _ = ops
+    if shift is None:
+        a, b = c, xp
+    elif cols[3]:  # euler_maruyama's shift F(x') T
+        a, b = c, xp + shift
+    else:
+        a, b = c - shift, xp
+    a, b = a.ravel(), b.ravel()  # (n, 1) and (1, n)
+    cut = _BAND_SIGMAS * math.sqrt(T)
+    lo = np.searchsorted(np.maximum.accumulate(b), a - cut, side="left")
+    hi = np.searchsorted(np.minimum.accumulate(b[::-1])[::-1], a + cut,
+                         side="right")
+    width = max(1, int(np.max(hi - lo)))
+    start = np.clip(lo, 0, n - width)
+    indices = np.add(start[:, None].astype(np.int32),
+                     np.arange(width, dtype=np.int32))
+    # a row's columns are contiguous, so its column operands are one row of
+    # the operand's sliding-window view: a row copy, not a cell gather
+    ops = [sliding_window_view(v[0], width) if col else v
+           for v, col in zip(ops, cols)]
+    w = sliding_window_view(weights, width)
+    data = np.empty((n, width))
+    rows = max(1, _BLOCK_CELLS // width)
+    for r in range(0, n, rows):
+        blk = slice(r, r + rows)
+        first = start[blk]
+        c, xp, scale, shift, damp = (
+            v[first] if col else v[blk] if np.ndim(v) == 2 else v
+            for v, col in zip(ops, cols))
+        np.multiply(_gaussian(c, xp, T, scale, shift=shift, damp=damp),
+                    w[first], out=data[blk])
+    indptr = np.arange(0, n * width + 1, width)
+    return csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n, n))
 
 
 def _integrate_kernel(kind, m, T, x_prime, lo, hi, n_panels):

@@ -28,7 +28,6 @@ from shorttime import (
     girsanov_kernel_cdf,
     kernel_eval,
     ks_distance,
-    lp_error,
     normalization_defect,
     parse_drift,
     rate_fit,
@@ -37,7 +36,7 @@ from shorttime import (
     simulate_exponential,
     solve_fokker_planck,
 )
-from shorttime.girsanov import BrownianPath, chunk_rng
+from shorttime.girsanov import BrownianPath, _lp_pass, chunk_rng
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
 
@@ -52,15 +51,24 @@ def gauss(x, mu, var):
         2.0 * math.pi * var)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0])
-def test_01_order_one_rate(p):
+_RATE_TS = [0.2, 0.1, 0.05, 0.025, 0.0125]
+
+
+@pytest.fixture(scope="module")
+def rate_errors():
+    """{p: [(T, estimate), ...]} for acceptance 01 from one common-path pass
+    at every T and p; each estimate equals lp_error at that (p, T) bit for
+    bit (test_girsanov's TestBlockedPass)."""
     m = LampertiMap(TWO_PLUS_COS, alpha=0.0)
-    ts = [0.2, 0.1, 0.05, 0.025, 0.0125]
-    errors = []
-    for T in ts:
-        cfg = MCConfig(n_paths=100000, n_steps=4096, base_seed=2024, p=p)
-        errors.append((T, lp_error(m, T, cfg)))
-    fit = rate_fit(errors)
+    cfg = MCConfig(n_paths=100000, n_steps=4096, base_seed=2024)
+    per_t = _lp_pass(m, _RATE_TS, cfg, [1.0, 2.0])
+    return {p: [(T, e[i]) for T, e in zip(_RATE_TS, per_t)]
+            for i, p in enumerate((1.0, 2.0))}
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_01_order_one_rate(p, rate_errors):
+    fit = rate_fit(rate_errors[p])
     ok = 0.8 <= fit.slope <= 1.2 and fit.r_squared >= 0.98
     print(f"  [p={p}] slope={fit.slope:.4f} r2={fit.r_squared:.5f}")
     report(1, f"order-1 rate (p={p})", ok)

@@ -88,6 +88,12 @@ class TestFlowCommand:
                             "--out-dir", str(tmp_path))
         assert code == 1
         assert payload["error"]["kind"] == "domain"
+        # only JSON true turns the check off (the string "false" is refused
+        # in TestConfigNumbers)
+        code, _ = run(capsys, "flow", "--config", cfg, "--out-dir",
+                      str(tmp_path), "--set", "assume_valid=true",
+                      "--set", "reference_point=1.0")
+        assert code == 0
 
 
 class TestDensityCommand:
@@ -246,7 +252,9 @@ class TestPinnedArtifacts:
     refactor since must reproduce them.  The Hermite table for Lambda moved
     their numbers by at most 8.6e-10 (rate2's fit; the flow by 1.4e-10), so
     girsanov-error0/1, rate2, flow3/4, density5/6, compose7 and sample10
-    were re-taken with it."""
+    were re-taken with it.  The band-limited Chapman composition moved the
+    compose densities by at most 6.7e-16, so compose7/8/9/14/15/16 were
+    re-taken with it."""
 
     CASES = [
         ("girsanov-error", {
@@ -283,23 +291,23 @@ class TestPinnedArtifacts:
     ] + _transport_cases(COS, [
         ("f12eb977e999a649b9ceffdac981d1d16277093554e79d4203af18090aacdb0c",),
         ("8c3f6f462bae4e12f216ec1a5be5d0690d4954f583eb74afbccd9af13ba92526",),
-        ("58a3a6e037372830c0038914aa479fc54147f9e570c6ce9b6311badc24af78de",
+        ("09f412490b53fcbbbfa006eea2c53dabd0d45ad95a22ff1944574b27ae8d3a72",
          "53a1ceb537c074275320361d5997b1d48ef5076f65531e7020b5db382b3a3687"),
-        ("916ce65f815838f60c7e0d7c5960abbba9d1403d31828aa24752744b6a57ba97",
-         "12f56d7f520ad15fbab4876c381153e866ea9d160134f5772feda0015f5a5ffc"),
-        ("50ee0a1d4cd1076ac10786c106fdd0e0270cf048f04937e0ca65afc2ad9ca746",
+        ("bbfb066674108f3fcb206953b2a735692a8792388aba630b4e914bb7f3aed5a2",
+         "d33d1609cdd7a76b7f7b2c337666fd9627c1d04337e384496e41e58311cd5908"),
+        ("00e5a9acb69924b7bc0e8e57ad1571d38ba2af5101b6dadddeb7c7685ef2c6cf",
          "5b582fa54cd4249d628100ad9c42288e8afec4db97b75f4b18c579ac3d742294"),
         ("86afac338edccdd21f2decd82785a7f4ad23d67367240754a5eac242dca562d6",),
         ("2af90c9ab1cd082558a309da9fecbd7020586a49cd77de06d4cf375ed6d7975a",),
     ]) + _transport_cases({"expr": "1"}, [
         ("087c2dc6f1a7bac32def3a80ef2de26893b34002719e7de4aeb444adea33f80d",),
         ("2d876f8b646fdedd588a4ffb845e011b906326c23f80804a4c5593f8878e0888",),
-        ("b1382a1eb08ed9cb664932314bb33536a069346257764a3d6866b508bc887883",
+        ("39f5693ec9978cb09c8f6be790bd3d17981d6ca9eb163148ed17ae7b9d4e21c0",
          "6b00238722de7c7e24af3eedeb53c49688a11e504ab8989c387465a4c08489fb"),
-        ("bd694e94955ea6a035f57dec9927cc3b129d71e9ad07838f1713c6be46f21641",
-         "d33d1609cdd7a76b7f7b2c337666fd9627c1d04337e384496e41e58311cd5908"),
-        ("bd694e94955ea6a035f57dec9927cc3b129d71e9ad07838f1713c6be46f21641",
-         "16281fa50066d24bb31f893f284ff777f7f6600ef59fc2bb471fb371a9a9e4c6"),
+        ("785dc2e7d507e798f8bf94d54d5c03a13f9ec2de6c7daf77b675ac3f5987955e",
+         "b63a472a82771ce6edf0000190f77cb276f4a7ba9c275eb3fd791336e9a73f2f"),
+        ("785dc2e7d507e798f8bf94d54d5c03a13f9ec2de6c7daf77b675ac3f5987955e",
+         "dde754f4cd8fa0e26c3cb0ea1231f4eeae0c6e46e557cb62c58fee95480d47a1"),
         ("4e4772521f3bf02ed5fc4d2c46904a20b1e5aab426d84ad7f74db714835d68a9",),
         ("92cf448dad535010d9e8529829cb7e761b3bcf579f99b1d5cf11905f5d28d080",),
     ]) + [
@@ -499,8 +507,9 @@ class TestConfigNumbers:
     """Every config number goes through one reader, and every config
     shape is checked: strings, booleans, non-finite values, integers past
     the float range, fractional counts, sub-objects that are not JSON
-    objects, law atoms that are not [location, weight] pairs and unknown
-    sample outputs exit 2 before any artifact is written."""
+    objects, law atoms that are not [location, weight] pairs or no
+    probability law, flags that are not JSON booleans and unknown sample
+    outputs exit 2 before any artifact is written."""
 
     GRID = {"x_min": -4.0, "x_max": 5.0, "n_points": 301}
     MC = {"n_paths": 8, "n_steps": 4, "base_seed": 1}
@@ -549,6 +558,11 @@ class TestConfigNumbers:
         ("density", {"law": {"atoms": [[0.0, 0.5, 0.5]]}}, []),
         ("density", {"law": {"atoms": "ab"}}, []),
         ("sample", {"sample": {"n": 10, "seed": 1, "output": "cvs"}}, []),
+        ("flow", {}, ['assume_valid="false"']),
+        ("compose", {}, ['compare_to_oracle="yes"']),
+        ("compose", {"compare_to_oracle": 1}, []),
+        ("density", {"law": {"atoms": []}}, []),
+        ("density", {"law": {"atoms": [[0.0, 0.7]]}}, []),
     ]
 
     def _run(self, capsys, tmp_path, command, changes, overrides):
@@ -682,9 +696,9 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def _run_capped(command, cfg, tmp_path):
+def _run_capped(command, cfg, tmp_path, timeout=120):
     """The finished child that ran the CLI under _MEMORY_PROBE's
-    address-space cap."""
+    address-space cap, within timeout seconds."""
     src = os.path.dirname(os.path.dirname(shorttime.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -693,7 +707,7 @@ def _run_capped(command, cfg, tmp_path):
     return subprocess.run(
         [sys.executable, "-c", _MEMORY_PROBE, command, "--config",
          write_cfg(tmp_path, "c.json", cfg), "--out-dir", str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=env, capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -725,4 +739,22 @@ class TestMemoryError:
         error = json.loads(proc.stdout)["error"]
         assert error["kind"] == "config"
         assert "grid.n_points" in error["message"]
+        assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command,extra", [
+        ("fp-solve", {}), ("compose", {"n_slices": 8,
+                                       "compare_to_oracle": True}),
+    ], ids=["fp-solve", "compose"])
+    def test_fp_work_cap(self, command, extra, tmp_path):
+        # 1e9 Crank-Nicolson steps would run for hours: refused before any
+        # work, well inside the wall-time bound
+        proc = _run_capped(command, dict({
+            "drift": COS, "T": 1.0, "x_prime": 0.0,
+            "n_time_steps": 1_000_000_000,
+            "grid": {"x_min": -6.5, "x_max": 11.5, "n_points": 2001},
+        }, **extra), tmp_path, timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads(proc.stdout)["error"]
+        assert error["kind"] == "config"
+        assert "n_time_steps" in error["message"]
         assert not any((tmp_path / "out").iterdir())

@@ -4,6 +4,8 @@ import numpy as np
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 import pytest
+from scipy.sparse import diags, identity
+from scipy.sparse.linalg import splu
 from scipy.special import ndtr
 
 from shorttime import (
@@ -12,16 +14,21 @@ from shorttime import (
     GridSpec,
     KernelKind,
     LampertiMap,
+    builtin_drift,
     compose_chapman,
     density_distance,
     kernel_eval,
+    kernel_matrix,
     liouville_density,
     parse_drift,
     solve_fokker_planck,
 )
-from shorttime.evolution import BoundaryError, GridMismatchError
+from shorttime.evolution import (BoundaryError, GridMismatchError,
+                                  _trapezoid_weights)
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
+BENCH_DRIFTS = {"two_plus_cos": TWO_PLUS_COS,
+                "logistic_floor": builtin_drift("logistic_floor")}
 
 
 def gauss(x, mu, var):
@@ -126,7 +133,86 @@ class TestComposeChapman:
                             kind=KernelKind.GIRSANOV)
 
 
+def dense_compose(m, plan, x_prime):
+    """compose_chapman on the whole n x n weighted kernel matrix: the
+    reference the band must match."""
+    xs = plan.grid.points()
+    p = kernel_matrix(m, plan.kind, plan.tau, xs, [x_prime])[:, 0]
+    kw = kernel_matrix(m, plan.kind, plan.tau, xs, xs)
+    kw *= _trapezoid_weights(plan.grid)
+    for _ in range(plan.n_slices - 1):
+        p = kw @ p
+    return p
+
+
+class TestBandComposition:
+    @pytest.mark.parametrize("n_slices", [8, 32])
+    @pytest.mark.parametrize("drift", BENCH_DRIFTS.values(),
+                             ids=BENCH_DRIFTS)
+    @pytest.mark.parametrize("kind", list(KernelKind), ids=lambda k: k.value)
+    def test_matches_dense_reference(self, kind, drift, n_slices):
+        m = LampertiMap(drift)
+        plan = CompositionPlan(1.0, n_slices, GridSpec(-6.2, 11.8, 1201),
+                               kind)
+        got = compose_chapman(m, plan, 0.3).values
+        want = dense_compose(m, plan, 0.3)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    def test_folded_euler_maruyama(self):
+        # 1 + F' tau < 0 on part of the grid, so the column centres
+        # x' + F(x') tau are not monotone
+        m = LampertiMap(parse_drift("2 + 4*cos(2*x)"))
+        plan = CompositionPlan(1.0, 4, GridSpec(-8.0, 14.0, 1201),
+                               KernelKind.EULER_MARUYAMA)
+        xs = plan.grid.points()
+        assert np.any(np.diff(xs + m.drift_at(xs) * plan.tau) < 0.0)
+        got = compose_chapman(m, plan, 0.0).values
+        want = dense_compose(m, plan, 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+
+def splu_fokker_planck(m, T, x_prime, grid, n_time_steps):
+    """The Crank-Nicolson solve with a sparse LU of I - (dt/2) A and a
+    matvec with I + (dt/2) A per step: the reference for the factor-once
+    tridiagonal solve."""
+    xs = grid.points()
+    dx = grid.dx
+    t0 = min(1e-3, T / 100.0)
+    f0, f1, _ = m.drift_jets(x_prime)
+    f0, f1 = float(f0), float(f1)
+    mu0 = x_prime + f0 * t0 + 0.5 * f0 * f1 * t0 * t0
+    var0 = max(t0 * (1.0 + f1 * t0), 0.5 * t0)
+    p = gauss(xs, mu0, var0)
+    fm = m.drift_at(0.5 * (xs[:-1] + xs[1:]))
+    g_left = fm / 2.0 + 1.0 / (2.0 * dx)
+    g_right = fm / 2.0 - 1.0 / (2.0 * dx)
+    main = np.zeros(grid.n_points)
+    main[:-1] -= g_left / dx
+    main[1:] += g_right / dx
+    a = diags([g_left / dx, main, -g_right / dx], offsets=[-1, 0, 1],
+              format="csc")
+    dt = (T - t0) / n_time_steps
+    eye = identity(grid.n_points, format="csc")
+    lu = splu((eye - 0.5 * dt * a).tocsc())
+    rhs = (eye + 0.5 * dt * a).tocsr()
+    for _ in range(n_time_steps):
+        p = lu.solve(rhs @ p)
+    return p
+
+
 class TestFokkerPlanck:
+    @pytest.mark.parametrize("drift,T,x_prime,grid", [
+        (TWO_PLUS_COS, 1.0, 0.3, GridSpec(-6.2, 11.8, 2001)),
+        (BENCH_DRIFTS["logistic_floor"], 1.0, -0.4,
+         GridSpec(-6.9, 11.1, 2001)),
+        (parse_drift("x"), 0.5, 1.0, GridSpec(-6.0, 9.0, 3001)),
+    ], ids=["two_plus_cos", "logistic_floor", "x"])
+    def test_matches_splu_reference(self, drift, T, x_prime, grid):
+        m = LampertiMap(drift)
+        got = solve_fokker_planck(m, T, x_prime, grid, 2000).values
+        want = splu_fokker_planck(m, T, x_prime, grid, 2000)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
     def test_pure_diffusion_matches_heat_kernel(self):
         out = solve_fokker_planck(LampertiMap(parse_drift("0")), 0.5, 0.0,
                                   GridSpec(-6.0, 6.0, 2001), 1000)

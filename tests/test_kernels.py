@@ -16,6 +16,7 @@ from shorttime import (
     kernel_eval,
     kernel_matrix,
     marginal_density,
+    builtin_drift,
     normalization_defect,
     parse_drift,
 )
@@ -23,6 +24,8 @@ from shorttime import kernels as kernels_mod
 from shorttime.kernels import TailMassError
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
+BENCH_DRIFTS = {"two_plus_cos": TWO_PLUS_COS,
+                "logistic_floor": builtin_drift("logistic_floor")}
 
 
 def gauss(x, mu, var):
@@ -260,12 +263,58 @@ class TestBlockedFill:
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_compose_holds_one_matrix(self):
+        # the band's data and int32 indices, plus a few block-sized buffers
         grid = GridSpec(-6.5, 11.5, 2001)
         plan = CompositionPlan(1.0, 32, grid, KernelKind.GIRSANOV)
+        m = LampertiMap(TWO_PLUS_COS)
+        band = kernels_mod._kernel_band(m, plan.kind, plan.tau,
+                                        grid.points(), np.ones(2001))
+        band_bytes = band.data.nbytes + band.indices.nbytes
         tracemalloc.start()
         try:
-            compose_chapman(LampertiMap(TWO_PLUS_COS), plan, 0.0)
+            compose_chapman(m, plan, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * grid.n_points ** 2 * 8
+        assert peak < band_bytes + 8 * kernels_mod._BLOCK_CELLS * 8
+        assert band_bytes < 0.5 * grid.n_points ** 2 * 8
+
+
+class TestKernelBand:
+    """_kernel_band keeps each cell of kernel_matrix times its weight bit
+    for bit, and drops only cells below 1e-16 of their row's peak."""
+
+    CASES = [(kind, name, tau) for kind in KernelKind for name in BENCH_DRIFTS
+             for tau in (1 / 8, 1 / 32)]
+    # 1 + F' tau < 0 on part of the grid: the euler_maruyama column centres
+    # x' + F(x') tau fold back, and the windows widen to hold them
+    FOLDED = parse_drift("2 + 4*cos(2*x)")
+
+    def _check(self, m, kind, tau, xs):
+        n = xs.size
+        w = np.full(n, xs[1] - xs[0])
+        w[[0, -1]] *= 0.5
+        dense = kernel_matrix(m, kind, tau, xs, xs)
+        band = kernels_mod._kernel_band(m, kind, tau, xs, w)
+        assert band.indices.dtype == np.int32
+        widths = np.diff(band.indptr)
+        assert np.all(widths == widths[0]) and widths[0] < n
+        rows = np.repeat(np.arange(n), widths)
+        assert np.array_equal(band.data, (dense * w)[rows, band.indices])
+        dropped = dense.copy()
+        dropped[rows, band.indices] = 0.0
+        peak = np.max(dense, axis=1, keepdims=True)
+        assert np.all(dropped <= 1e-16 * peak)
+
+    @pytest.mark.parametrize("kind,drift,tau", CASES,
+                             ids=[f"{k.value}-{d}-{1 / t:g}"
+                                  for k, d, t in CASES])
+    def test_cells(self, kind, drift, tau):
+        self._check(LampertiMap(BENCH_DRIFTS[drift]), kind, tau,
+                    np.linspace(-6.2, 11.8, 1201))
+
+    def test_folded_euler_maruyama(self):
+        m = LampertiMap(self.FOLDED)
+        xs = np.linspace(-8.0, 14.0, 1201)
+        assert np.any(np.diff(xs + m.drift_at(xs) * 0.25) < 0.0)
+        self._check(m, KernelKind.EULER_MARUYAMA, 0.25, xs)
