@@ -32,7 +32,6 @@ from .girsanov import (
     RateFit,
     approx_exponential,
     approx_exponential_euler,
-    lp_error,
     lp_errors,
     rate_fit,
     simulate_exponential,
@@ -64,7 +63,7 @@ __all__ = [
     "SampleSet", "approx_exponential", "approx_exponential_euler",
     "builtin_drift", "compose_chapman", "density_distance",
     "girsanov_kernel_cdf", "kernel_eval", "kernel_matrix", "ks_distance",
-    "liouville_density", "lp_error", "lp_errors", "marginal_density",
+    "liouville_density", "lp_errors", "marginal_density",
     "normalization_defect", "parse_drift", "rate_fit", "sample_crypto",
     "sample_em_path", "simulate_exponential", "solve_fokker_planck",
     "u_eval", "validate_assumption",

@@ -41,6 +41,13 @@ _MAX_DENSE_CELLS = 50_000_000
 # updates take a few seconds, 16x the largest solve in the configs and tests
 # (3,001 points x 2,000 steps).
 _MAX_FP_WORK = 100_000_000
+# Cap on sample.n: 1e7 draws of 80 MB, 100x the 1e5 of the configs and bench.
+_MAX_SAMPLES = 10_000_000
+# Cap on sample.n x sample.n_steps of an Euler-Maruyama sample: 1e8 path
+# steps, 19x the 20,000 x 256 of the bench workload.
+_MAX_EM_STEPS = 100_000_000
+# Cap on validate's scan_points: 1e7 drift jets, 2,500x the configs' 4,001.
+_MAX_SCAN_POINTS = 10_000_000
 
 
 def _require(cfg, key, default=None):
@@ -128,24 +135,28 @@ def _build_drift(cfg):
     return drift_mod.drift_from_config(dcfg)
 
 
-def _map_kwargs(cfg):
-    return {
-        "alpha": _num(cfg, "alpha", 0.0),
-        "root_tol": _num(cfg, "root_tol", 1e-10),
-        "reference_point": _num(cfg, "reference_point", 0.0),
-    }
+def _capped(value, key, cap):
+    """value, or ConfigError naming key when it is past cap."""
+    if value > cap:
+        raise ConfigError(f"{key!r} = {value} is past the cap of {cap}")
+    return value
 
 
 def _assumption(cfg, d):
     """The drift-positivity scan that validate and the epsilon gate share."""
+    points = _num(cfg, "scan_points", 2001, count=True)
     return drift_mod.validate_assumption(
         d, _nums(cfg, "scan_range", n=2), _num(cfg, "epsilon"),
-        _num(cfg, "scan_points", 2001, count=True))
+        _capped(points, "scan_points", _MAX_SCAN_POINTS))
 
 
-def _build_map(cfg, d=None):
-    d = d if d is not None else _build_drift(cfg)
-    m = LampertiMap(d, **_map_kwargs(cfg))
+def _build_map(cfg):
+    """The command's one LampertiMap: every kernel, law atom, path and
+    sample of the command is read through it."""
+    d = _build_drift(cfg)
+    m = LampertiMap(d, alpha=_num(cfg, "alpha", 0.0),
+                    root_tol=_num(cfg, "root_tol", 1e-10),
+                    reference_point=_num(cfg, "reference_point", 0.0))
     if not _flag(cfg, "assume_valid") and "epsilon" in cfg:
         report = _assumption(cfg, d)
         if not report.passed:
@@ -213,13 +224,11 @@ def _cmd_flow(cfg, out):
 
 
 def _cmd_density(cfg, out):
-    d = _build_drift(cfg)
-    m = _build_map(cfg, d)
+    m = _build_map(cfg)
     T = _num(cfg, "T")
     grid = _grid(cfg)
     kinds = _kinds(cfg)
-    xs = grid.points()
-    law = None
+    defects = {}
     if "law" in cfg:
         atoms = _require(_require(cfg, "law"), "atoms")
         if not isinstance(atoms, list):
@@ -230,20 +239,13 @@ def _cmd_density(cfg, out):
                                    for e in atoms))
         except ValueError as exc:
             raise ConfigError(f"'law.atoms': {exc}") from None
-    cols = []
-    defects = {}
-    for kind in kinds:
-        if law is not None:
-            # the per-atom maps carry their own shift, so 'alpha' stays out
-            kwargs = {k: v for k, v in _map_kwargs(cfg).items()
-                      if k != "alpha"}
-            vals = kernels.marginal_density(kind, d, law, T, xs, **kwargs)
-        else:
-            xp = _num(cfg, "x_prime")
-            vals = kernels.kernel_eval(kind, m, T, xs, xp)
-            defects[kind.value] = kernels.normalization_defect(
-                kind, m, T, xp, grid)
-        cols.append(vals)
+    else:  # one atom at x_prime, where the kernel's own mass defect is taken
+        xp = _num(cfg, "x_prime")
+        law = InitialLaw(((xp, 1.0),))
+        defects = {k.value: kernels.normalization_defect(k, m, T, xp, grid)
+                   for k in kinds}
+    xs = grid.points()
+    cols = [kernels.marginal_density(k, m, law, T, xs) for k in kinds]
     path = os.path.join(out, "density.csv")
     _write_csv(path, ["x"] + [k.value for k in kinds], xs, *cols)
     return [path], {"mass_defect": defects, "T": T}
@@ -253,11 +255,8 @@ def _fp_steps(cfg, grid):
     """n_time_steps for a Fokker-Planck solve on grid, refused past
     _MAX_FP_WORK cell updates before any work."""
     steps = _num(cfg, "n_time_steps", 2000, count=True)
-    if steps * grid.n_points > _MAX_FP_WORK:
-        raise ConfigError(
-            f"'n_time_steps' = {steps} on {grid.n_points} grid points needs "
-            f"{steps * grid.n_points} cell updates, past the cap of "
-            f"{_MAX_FP_WORK}")
+    _capped(steps * grid.n_points, "n_time_steps x grid.n_points",
+            _MAX_FP_WORK)
     return steps
 
 
@@ -274,7 +273,7 @@ def _cmd_girsanov_error(cfg, out):
     m = _build_map(cfg)
     T = _num(cfg, "T")
     p_values = _nums(cfg, "p_values", [2.0])
-    ests = girsanov.lp_errors(m, T, _mc_config(cfg), p_values)
+    ests = girsanov.lp_errors(m, [T], _mc_config(cfg), p_values)[0]
     path = os.path.join(out, "errors.csv")
     _write_csv(path, ["T", "p", "error_mean", "std_error"], [T] * len(ests),
                p_values, [e.mean for e in ests], [e.std_error for e in ests])
@@ -287,10 +286,10 @@ def _cmd_rate(cfg, out):
     p_values = _nums(cfg, "p_values", [1.0, 2.0])
     mc = _mc_config(cfg)
     if len(set(t_grid)) < 3:  # rate_fit's own check, made before any path
-        raise ValueError("need at least 3 distinct T values")
+        raise ConfigError("'T_grid' needs at least 3 distinct T values")
     # one common-path pass shares its draws across T_grid and serves every
     # p; rows stay p-major
-    per_t = girsanov._lp_pass(m, t_grid, mc, p_values)
+    per_t = girsanov.lp_errors(m, t_grid, mc, p_values)
     fits = {}
     for i, p in enumerate(p_values):
         fit = girsanov.rate_fit([(T, e[i]) for T, e in zip(t_grid, per_t)])
@@ -308,10 +307,7 @@ def _cmd_rate(cfg, out):
 
 def _cmd_compose(cfg, out):
     grid = _grid(cfg)
-    if grid.n_points ** 2 > _MAX_DENSE_CELLS:
-        raise ConfigError(
-            f"'grid.n_points' = {grid.n_points} needs {grid.n_points ** 2} "
-            f"kernel cells, past the cap of {_MAX_DENSE_CELLS}")
+    _capped(grid.n_points ** 2, "grid.n_points ^ 2", _MAX_DENSE_CELLS)
     kinds = _kinds(cfg)
     if len(kinds) != 1:
         raise ConfigError("compose takes one kernel 'kind', not 'all'")
@@ -359,7 +355,7 @@ def _cmd_sample(cfg, out):
     scfg = _require(cfg, "sample")
     T = _num(cfg, "T")
     xp = _num(cfg, "x_prime")
-    n = _num(scfg, "n", count=True)
+    n = _capped(_num(scfg, "n", count=True), "sample.n", _MAX_SAMPLES)
     seed = _num(scfg, "seed", cfg.get("seed", 0), count=True)
     scheme = scfg.get("scheme", "crypto")
     output = scfg.get("output", "summary")
@@ -369,6 +365,7 @@ def _cmd_sample(cfg, out):
         s = sampler.sample_crypto(m, xp, T, n, seed)
     elif scheme == "euler_maruyama_path":
         steps = _num(scfg, "n_steps", count=True)
+        _capped(n * steps, "sample.n x sample.n_steps", _MAX_EM_STEPS)
         s = sampler.sample_em_path(m, xp, T, steps, n, seed)
     else:
         raise ConfigError(f"unknown sampling scheme {scheme!r}")

@@ -63,15 +63,12 @@ class MCConfig:
     n_paths: int
     n_steps: int
     base_seed: int
-    p: float = 2.0
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("need at least 2 paths")
         if self.n_steps < 1:
             raise ValueError("need at least 1 step")
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -129,37 +126,23 @@ def approx_exponential_euler(m, b_T, T):
     return _result(out)
 
 
-def lp_error(m, T, cfg):
-    """(E|M_T - approx|^p)^(1/p) at p = cfg.p; see lp_errors."""
-    return lp_errors(m, T, cfg, [cfg.p])[0]
-
-
-def lp_errors(m, T, cfg, p_values):
-    """(E|M_T - approx|^p)^(1/p) for every p in p_values, by common-random-path
-    Monte Carlo; returns one ErrorEstimate per p, in the order of p_values.
+def lp_errors(m, horizons, cfg, p_values):
+    """(E|M_T - approx|^p)^(1/p) at every T in horizons and every p in
+    p_values, by common-random-path Monte Carlo from one draw of the paths;
+    returns one list of ErrorEstimates per T, each in the order of
+    p_values.  Every T and p is checked before any path is drawn.
 
     Each path feeds both sides: the full path for the Ito sums, its endpoint
     for the deterministic approximation.  Pairing is required, not cosmetic:
     the target is a pathwise L^p distance.  Each RNG chunk is drawn and
     reduced in row blocks of about _BLOCK_CELLS cells, so memory does not
-    grow with n_paths * n_steps.  The chunk's gaps d = |M_T - u(T, B_T)|
-    feed sum d^p and sum d^(2p) for every p, so each estimate equals a
-    separate pass at that p bit for bit (cfg.p itself is not used).  T and
-    every p are checked before any path is drawn.
-    """
-    return _lp_pass(m, [T], cfg, p_values)[0]
-
-
-def _lp_pass(m, horizons, cfg, p_values):
-    """lp_errors at every T in horizons from one draw of the paths; returns
-    one list of ErrorEstimates per T.  Every T and p is checked first.
-
-    Chunk i of every horizon holds the same normals z, so each row block of
-    z is drawn once, in row order (the stream of one (k, n_steps) draw),
-    and scaled by sqrt(T / n_steps) for each T in turn.  The row sums, the
-    one approx_exponential call per chunk and T on all its endpoints (the
-    Lambda table spans their hull) and the per-chunk d^p sums keep every
-    estimate equal to a separate pass at that T bit for bit.
+    grow with n_paths * n_steps.  Chunk i of every horizon holds the same
+    normals z, so each row block of z is drawn once, in row order (the
+    stream of one (k, n_steps) draw), and scaled by sqrt(T / n_steps) for
+    each T in turn.  The chunk's gaps d = |M_T - u(T, B_T)|, from one
+    approx_exponential call per chunk and T on all its endpoints, feed
+    sum d^p and sum d^(2p) for every p, so each estimate equals a separate
+    pass at that T and p bit for bit.
     """
     horizons = [float(T) for T in horizons]
     for T in horizons:

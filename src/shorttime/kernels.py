@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse import csr_matrix
 
-from .lamperti import _GL16_W, _GL16_X, LampertiMap, _check_horizon, _result
+from .lamperti import _GL16_W, _GL16_X, _check_horizon, _result
 
 # Cells per row block of _gaussian: 512 KiB of float64, well inside L2.
 _BLOCK_CELLS = 1 << 16
@@ -247,18 +247,11 @@ def normalization_defect(kind, m, T, x_prime, grid, tol=1e-10):
     return fine - 1.0
 
 
-def marginal_density(kind, drift, law, T, x, **map_kwargs):
+def marginal_density(kind, m, law, T, x):
     """Density of the flowed state at time T when the start point is drawn
-    from the discrete law: sum_j w_j * kernel(T, x | x' = a_j).
-
-    Implemented through per-atom shifted maps (alpha = a_j, evaluated in the
-    coordinate x - a_j), which matches evaluating an unshifted kernel at
-    x' = a_j exactly.
-    """
-    _check_horizon(T)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x, dtype=float)
-    for a, w in law.atoms:
-        m = LampertiMap(drift, alpha=a, **map_kwargs)
-        out = out + w * kernel_eval(kind, m, T, x - a, 0.0)
-    return _result(out)
+    from the discrete law: sum_j w_j * kernel(T, x | x' = a_j), every atom
+    a_j a start point in m's frame, as x_prime is.  One kernel_matrix on
+    m serves all the atoms; the result has x's shape."""
+    atoms, weights = np.array(law.atoms).T
+    out = kernel_matrix(m, kind, T, x, atoms) @ weights
+    return _result(out.reshape(np.shape(x)))

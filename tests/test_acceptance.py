@@ -28,6 +28,7 @@ from shorttime import (
     girsanov_kernel_cdf,
     kernel_eval,
     ks_distance,
+    lp_errors,
     normalization_defect,
     parse_drift,
     rate_fit,
@@ -36,7 +37,7 @@ from shorttime import (
     simulate_exponential,
     solve_fokker_planck,
 )
-from shorttime.girsanov import BrownianPath, _lp_pass, chunk_rng
+from shorttime.girsanov import BrownianPath, chunk_rng
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
 
@@ -57,11 +58,11 @@ _RATE_TS = [0.2, 0.1, 0.05, 0.025, 0.0125]
 @pytest.fixture(scope="module")
 def rate_errors():
     """{p: [(T, estimate), ...]} for acceptance 01 from one common-path pass
-    at every T and p; each estimate equals lp_error at that (p, T) bit for
+    at every T and p; each estimate equals a pass at that (p, T) alone bit for
     bit (test_girsanov's TestBlockedPass)."""
     m = LampertiMap(TWO_PLUS_COS, alpha=0.0)
     cfg = MCConfig(n_paths=100000, n_steps=4096, base_seed=2024)
-    per_t = _lp_pass(m, _RATE_TS, cfg, [1.0, 2.0])
+    per_t = lp_errors(m, _RATE_TS, cfg, [1.0, 2.0])
     return {p: [(T, e[i]) for T, e in zip(_RATE_TS, per_t)]
             for i, p in enumerate((1.0, 2.0))}
 

@@ -10,7 +10,6 @@ from shorttime import (
     approx_exponential,
     approx_exponential_euler,
     builtin_drift,
-    lp_error,
     lp_errors,
     parse_drift,
     rate_fit,
@@ -170,25 +169,25 @@ class TestLpError:
     def test_constant_drift_is_exact(self):
         # the Ito sums telescope for constant drift, so the gap is zero
         m = LampertiMap(parse_drift("2"))
-        est = lp_error(m, 0.25, MCConfig(n_paths=500, n_steps=32,
-                                         base_seed=7, p=2.0))
+        est = lp_errors(m, [0.25], MCConfig(n_paths=500, n_steps=32,
+                                            base_seed=7), [2.0])[0][0]
         # zero up to roundoff in the telescoped sums
         assert est.mean <= 1e-13
         assert est.n == 500
 
     def test_bit_identical_reruns(self):
         m = LampertiMap(TWO_PLUS_COS)
-        cfg = MCConfig(n_paths=3000, n_steps=64, base_seed=42, p=1.0)
-        a = lp_error(m, 0.1, cfg)
-        b = lp_error(m, 0.1, cfg)
+        cfg = MCConfig(n_paths=3000, n_steps=64, base_seed=42)
+        a = lp_errors(m, [0.1], cfg, [1.0])[0][0]
+        b = lp_errors(m, [0.1], cfg, [1.0])[0][0]
         assert (a.mean, a.std_error, a.n) == (b.mean, b.std_error, b.n)
 
     def test_seed_changes_estimate(self):
         m = LampertiMap(TWO_PLUS_COS)
-        a = lp_error(m, 0.1, MCConfig(n_paths=3000, n_steps=64,
-                                      base_seed=42, p=1.0))
-        b = lp_error(m, 0.1, MCConfig(n_paths=3000, n_steps=64,
-                                      base_seed=43, p=1.0))
+        a = lp_errors(m, [0.1], MCConfig(n_paths=3000, n_steps=64,
+                                         base_seed=42), [1.0])[0][0]
+        b = lp_errors(m, [0.1], MCConfig(n_paths=3000, n_steps=64,
+                                         base_seed=43), [1.0])[0][0]
         assert a.mean != b.mean
 
     def test_chunking_statistically_invisible(self):
@@ -197,12 +196,12 @@ class TestLpError:
         from shorttime import girsanov as g
 
         m = LampertiMap(TWO_PLUS_COS)
-        cfg = MCConfig(n_paths=4000, n_steps=32, base_seed=5, p=1.0)
-        full = lp_error(m, 0.1, cfg)
+        cfg = MCConfig(n_paths=4000, n_steps=32, base_seed=5)
+        full = lp_errors(m, [0.1], cfg, [1.0])[0][0]
         old = g._CHUNK
         try:
             g._CHUNK = 512
-            split = lp_error(m, 0.1, cfg)
+            split = lp_errors(m, [0.1], cfg, [1.0])[0][0]
         finally:
             g._CHUNK = old
         assert abs(full.mean - split.mean) <= \
@@ -212,9 +211,8 @@ class TestLpError:
         # with the drift shifted so F'(0) != 0 the leading gap term is O(T)
         m = LampertiMap(TWO_PLUS_COS, alpha=1.0)
         ts = [0.2, 0.1, 0.05, 0.025]
-        pts = [(t, lp_error(m, t, MCConfig(n_paths=20000, n_steps=1024,
-                                           base_seed=100, p=1.0)))
-               for t in ts]
+        cfg = MCConfig(n_paths=20000, n_steps=1024, base_seed=100)
+        pts = [(t, lp_errors(m, [t], cfg, [1.0])[0][0]) for t in ts]
         fit = rate_fit(pts)
         assert 0.7 <= fit.slope <= 1.4
         assert fit.r_squared >= 0.95
@@ -253,22 +251,21 @@ class TestLpErrors:
         # n_paths spans two RNG chunks; equality is exact, not approximate
         cfg = MCConfig(n_paths=girsanov._CHUNK + 300, n_steps=16,
                        base_seed=19)
-        ests = lp_errors(m, 0.1, cfg, self.P_VALUES)
+        ests = lp_errors(m, [0.1], cfg, self.P_VALUES)[0]
         assert [e.n for e in ests] == [cfg.n_paths] * len(self.P_VALUES)
         for p, est in zip(self.P_VALUES, ests):
             ref = _per_p_pass(m, 0.1, cfg, p)
             assert (est.mean, est.std_error, est.n) == \
                 (ref.mean, ref.std_error, ref.n)
-            single = lp_error(m, 0.1, MCConfig(n_paths=cfg.n_paths,
-                                               n_steps=16, base_seed=19, p=p))
+            single = lp_errors(m, [0.1], cfg, [p])[0][0]
             assert (single.mean, single.std_error, single.n) == \
                 (est.mean, est.std_error, est.n)
 
     def test_order_follows_p_values(self):
         m = LampertiMap(TWO_PLUS_COS)
         cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
-        fwd = lp_errors(m, 0.1, cfg, [1.0, 2.0, 3.0])
-        rev = lp_errors(m, 0.1, cfg, [3.0, 2.0, 1.0])
+        fwd = lp_errors(m, [0.1], cfg, [1.0, 2.0, 3.0])[0]
+        rev = lp_errors(m, [0.1], cfg, [3.0, 2.0, 1.0])[0]
         assert rev == fwd[::-1]
         assert fwd[0].mean < fwd[1].mean < fwd[2].mean  # Lyapunov
 
@@ -279,13 +276,13 @@ class TestLpErrors:
                             lambda *a: calls.append(a) or chunk_rng(*a))
         cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
         with pytest.raises(ValueError, match="p must be"):
-            lp_errors(LampertiMap(TWO_PLUS_COS), 0.1, cfg, [1.0, bad])
+            lp_errors(LampertiMap(TWO_PLUS_COS), [0.1], cfg, [1.0, bad])
         assert calls == []
 
     def test_no_p_values_no_pass(self, monkeypatch):
         monkeypatch.setattr(girsanov, "chunk_rng", None)  # any pass would fail
         cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
-        assert lp_errors(LampertiMap(TWO_PLUS_COS), 0.1, cfg, []) == []
+        assert lp_errors(LampertiMap(TWO_PLUS_COS), [0.1], cfg, []) == [[]]
 
 
 def _same(ests, refs):
@@ -312,7 +309,7 @@ class TestBlockedPass:
     ], ids=["partial_blocks", "two_paths_one_step", "one_row_blocks"])
     def test_equals_unblocked_oracle(self, m, n_paths, n_steps):
         cfg = MCConfig(n_paths=n_paths, n_steps=n_steps, base_seed=23)
-        ests = lp_errors(m, 0.05, cfg, self.P_VALUES)
+        ests = lp_errors(m, [0.05], cfg, self.P_VALUES)[0]
         assert _same(ests, [_per_p_pass(m, 0.05, cfg, p)
                             for p in self.P_VALUES])
 
@@ -324,10 +321,10 @@ class TestBlockedPass:
         m = self.MAPS[0]
         cfg = MCConfig(n_paths=girsanov._CHUNK + 300, n_steps=64,
                        base_seed=31)
-        per_t = girsanov._lp_pass(m, t_grid, cfg, self.P_VALUES)
+        per_t = lp_errors(m, t_grid, cfg, self.P_VALUES)
         assert len(per_t) == len(t_grid)
         for T, ests in zip(t_grid, per_t):
-            assert _same(ests, lp_errors(m, T, cfg, self.P_VALUES))
+            assert _same(ests, lp_errors(m, [T], cfg, self.P_VALUES)[0])
 
     @pytest.mark.parametrize("t_grid", [
         [0.1, 0.05, -1.0], [0.1, math.nan], [math.inf, 0.1], [0.0],
@@ -340,10 +337,10 @@ class TestBlockedPass:
         m = self.MAPS[0]
         cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
         with pytest.raises(ValueError, match="T must be"):
-            girsanov._lp_pass(m, t_grid, cfg, self.P_VALUES)
+            lp_errors(m, t_grid, cfg, self.P_VALUES)
         bad = next(T for T in t_grid if not 0.0 < T < math.inf)
         with pytest.raises(ValueError, match="T must be"):
-            lp_errors(m, bad, cfg, self.P_VALUES)
+            lp_errors(m, [bad], cfg, self.P_VALUES)
         assert calls == []
 
     def test_memory_does_not_grow_with_the_chunk(self):
@@ -354,7 +351,7 @@ class TestBlockedPass:
         cfg = MCConfig(n_paths=girsanov._CHUNK, n_steps=4096, base_seed=2)
         tracemalloc.start()
         try:
-            lp_errors(self.MAPS[0], 0.1, cfg, self.P_VALUES)
+            lp_errors(self.MAPS[0], [0.1], cfg, self.P_VALUES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,8 +397,3 @@ class TestMCConfig:
             MCConfig(n_paths=1, n_steps=8, base_seed=0)
         with pytest.raises(ValueError):
             MCConfig(n_paths=10, n_steps=0, base_seed=0)
-        with pytest.raises(ValueError):
-            MCConfig(n_paths=10, n_steps=8, base_seed=0, p=0.5)
-        for p in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="p must be finite"):
-                MCConfig(n_paths=10, n_steps=8, base_seed=0, p=p)

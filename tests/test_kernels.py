@@ -168,32 +168,54 @@ class TestInitialLawAndGrid:
 
 
 class TestMarginalDensity:
+    LAW = InitialLaw(atoms=((-0.3, 0.2), (0.4, 0.5), (1.1, 0.3)))
+
+    @pytest.mark.parametrize("kind", list(KernelKind),
+                             ids=[k.value for k in KernelKind])
+    def test_is_the_weighted_kernel_matrix(self, kind):
+        # the command's one map serves every atom: one kernel_matrix
+        m = LampertiMap(TWO_PLUS_COS, alpha=0.5)
+        xs = np.linspace(-2.0, 3.0, 101)
+        atoms, weights = np.array(self.LAW.atoms).T
+        got = marginal_density(kind, m, self.LAW, 0.15, xs)
+        assert np.array_equal(
+            got, kernel_matrix(m, kind, 0.15, xs, atoms) @ weights)
+
     def test_single_atom_reduces_to_kernel(self):
         law = InitialLaw(atoms=((0.4, 1.0),))
         xs = np.linspace(-1.0, 2.0, 21)
         T = 0.15
-        # the shifted-map construction must agree with an unshifted kernel
-        # evaluated at x' = 0.4
+        # an atom at 0.4 on the unshifted map must agree with the map
+        # shifted by alpha = 0.4, evaluated in the coordinate x - 0.4 at
+        # x' = 0
         m = LampertiMap(TWO_PLUS_COS, alpha=0.4)
         expected = kernel_eval(KernelKind.GIRSANOV, m, T, xs - 0.4, 0.0)
-        got = marginal_density(KernelKind.GIRSANOV, TWO_PLUS_COS, law, T, xs)
+        got = marginal_density(KernelKind.GIRSANOV, LampertiMap(TWO_PLUS_COS),
+                               law, T, xs)
         assert np.allclose(got, expected, rtol=1e-12)
 
     def test_two_atoms_constant_drift(self):
         law = InitialLaw(atoms=((-1.0, 0.25), (1.0, 0.75)))
         xs = np.linspace(-4.0, 4.0, 41)
         T = 0.2
-        got = marginal_density(KernelKind.GIRSANOV, parse_drift("0"), law, T,
-                               xs)
+        got = marginal_density(KernelKind.GIRSANOV,
+                               LampertiMap(parse_drift("0")), law, T, xs)
         expected = 0.25 * gauss(xs, -1.0, T) + 0.75 * gauss(xs, 1.0, T)
         assert np.allclose(got, expected, atol=1e-13)
 
     def test_mass_is_one(self):
         law = InitialLaw(atoms=((0.0, 0.5), (0.8, 0.5)))
         xs = np.linspace(-4.0, 6.0, 4001)
-        vals = marginal_density(KernelKind.GIRSANOV, TWO_PLUS_COS, law, 0.1,
-                                xs)
+        vals = marginal_density(KernelKind.GIRSANOV,
+                                LampertiMap(TWO_PLUS_COS), law, 0.1, xs)
         assert trapezoid(vals, xs) == pytest.approx(1.0, abs=1e-7)
+
+    def test_scalar_x_gives_a_float(self):
+        m = LampertiMap(TWO_PLUS_COS)
+        got = marginal_density(KernelKind.HAKEN, m, self.LAW, 0.1, 0.5)
+        assert isinstance(got, float)
+        assert got == marginal_density(KernelKind.HAKEN, m, self.LAW, 0.1,
+                                       [0.5])[0]
 
 
 def reference_kernel(kind, m, T, x, x_prime):

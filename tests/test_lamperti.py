@@ -396,7 +396,7 @@ def _horizon_sites():
         "kernel_eval": lambda T: kernel_eval(KernelKind.EULER_MARUYAMA, m,
                                              T, 0.5, 0.0),
         "marginal_density": lambda T: marginal_density(
-            KernelKind.BACKWARD_EULER, TWO_PLUS_COS, law, T, 0.5),
+            KernelKind.BACKWARD_EULER, m, law, T, 0.5),
         "liouville_density": lambda T: liouville_density(m, 0.0, T, 0.5,
                                                          0.0),
         "solve_fokker_planck": lambda T: solve_fokker_planck(m, T, 0.0,
@@ -405,7 +405,7 @@ def _horizon_sites():
             total_time=T, n_slices=2, grid=grid, kind=KernelKind.GIRSANOV),
         "sample_crypto": lambda T: sample_crypto(m, 0.0, T, 10, 3),
         "sample_em_path": lambda T: sample_em_path(m, 0.0, T, 4, 10, 3),
-        "lp_errors": lambda T: lp_errors(m, T, cfg, [2.0]),
+        "lp_errors": lambda T: lp_errors(m, [T], cfg, [2.0]),
         "BrownianPath.generate": lambda T: BrownianPath.generate(T, 4, 1),
         # the check runs before the cdf is built, not when it is first called
         "girsanov_kernel_cdf": lambda T: girsanov_kernel_cdf(m, T, 0.0)(0.5),
