@@ -35,8 +35,12 @@ class ConfigError(Exception):
 _FLOAT = "%.17g"  # 17 significant digits: every float64 reads back exactly
 _BLOCK = 8192  # rows per `%` call in _write_csv
 # Cap on the n_points^2 cells of compose's kernel matrix, of which its band
-# keeps n_points x W: 5e7 cells is 12x the 2,001^2 of the pinned config.
+# keeps n_points x W: 5e7 cells is 12x the 2,001^2 of the pinned config.  It
+# caps density's grid.n_points x law.atoms kernel cells too.
 _MAX_DENSE_CELLS = 50_000_000
+# Cap on density's grid.n_points: 1e6 points, 800x the pinned 1,201, with
+# 4 x grid.n_points nodes for a kernel's mass defect.
+_MAX_GRID_POINTS = 1_000_000
 # Cap on n_time_steps x grid.n_points of a Fokker-Planck solve: 1e8 cell
 # updates take a few seconds, 16x the largest solve in the configs and tests
 # (3,001 points x 2,000 steps).
@@ -227,6 +231,7 @@ def _cmd_density(cfg, out):
     m = _build_map(cfg)
     T = _num(cfg, "T")
     grid = _grid(cfg)
+    _capped(grid.n_points, "grid.n_points", _MAX_GRID_POINTS)
     kinds = _kinds(cfg)
     defects = {}
     if "law" in cfg:
@@ -239,6 +244,8 @@ def _cmd_density(cfg, out):
                                    for e in atoms))
         except ValueError as exc:
             raise ConfigError(f"'law.atoms': {exc}") from None
+        _capped(grid.n_points * len(law.atoms), "grid.n_points x law.atoms",
+                _MAX_DENSE_CELLS)
     else:  # one atom at x_prime, where the kernel's own mass defect is taken
         xp = _num(cfg, "x_prime")
         law = InitialLaw(((xp, 1.0),))

@@ -28,8 +28,12 @@ _GL_X = np.concatenate([_GL16_X, _GL8_X])  # both rules' nodes, one pass
 _EPS = np.finfo(float).eps
 _MAX_NODES = 1 << 18  # cells of one table, which ends a runaway range
 _CHUNK = 1 << 13  # cells per quadrature call, which bounds its memory
-_H0 = 0.05  # narrowest first cell; a cell is split until its midpoint holds
-_FIRST_CELLS = 1 << 12  # first cells of a hull, at least _H0 wide
+# Knot j of a map's lattice sits at reference + _SCALE sinh(j / _FIRST_CELLS):
+# _H0 apart near the reference, spreading out past _SCALE from it.  Each
+# lattice cell is split until it passes the midpoint check.
+_H0 = 0.05
+_FIRST_CELLS = 1 << 12
+_SCALE = _H0 * _FIRST_CELLS
 _MAX_SPLIT = 4  # halvings of a failed cell per round
 
 
@@ -71,6 +75,13 @@ def _hermite(x, p, d1, d2):
     ])
 
 
+def _over_budget(a, b):
+    """The error for a table that covering [a, b] would take past budget."""
+    return QuadratureError(
+        f"covering [{float(a)!r}, {float(b)!r}] needs more than the "
+        f"table's budget of {_MAX_NODES} cells")
+
+
 def _ends(v):
     """The knots v as a pair (left ends, right ends) of their cells."""
     return v[:-1], v[1:]
@@ -90,11 +101,11 @@ def _horner(c, v):
 class LampertiMap:
     """Holds the drift, the scalar shift alpha, and the one tolerance root_tol.
 
-    Evaluation is pure given the fields; instances may be shared freely.
     The effective drift is F(x) = f(alpha + x).  Lambda and its inverse come
-    from a quintic Hermite table on the hull of each call's inputs, extended
-    to cover its outputs; finished tables are cached by the arguments they
-    were built from, so the cache never changes a result.
+    from one quintic Hermite table, grown outward by whole cells of a lattice
+    that the map alone fixes, so a value depends only on the map and the
+    point.  Growth replaces the table without changing a value already in
+    it, so instances may be shared freely.
     """
 
     def __init__(self, drift, alpha=0.0, root_tol=1e-10, reference_point=0.0):
@@ -104,7 +115,9 @@ class LampertiMap:
         self.reference_point = float(reference_point)
         self.is_constant = drift.is_constant
         self._const = float(drift(0.0)) if self.is_constant else None
-        self._cache = {}  # tables by the arguments of _table_on
+        # lattice knots j0..j1 (the reference is knot 0), split into cells
+        self._table = SimpleNamespace(j0=0, j1=0, x=np.array([
+            self.reference_point]), y=np.zeros(1))
 
     # -- effective drift ----------------------------------------------------
 
@@ -119,30 +132,33 @@ class LampertiMap:
         return self.drift.jets(self.alpha + np.asarray(x, dtype=float))
 
     def _inv_drift(self, x):
-        f = self.drift_at(x)
-        bad = ~((f > 0.0) & (f < math.inf))
+        """1/F(x); LampertiError where it is not positive and finite."""
+        with np.errstate(divide="ignore", over="ignore"):
+            g = 1.0 / self.drift_at(x)
+        bad = ~((g > 0.0) & (g < math.inf))
         if np.any(bad):
             raise LampertiError(
-                f"drift non-positive or non-finite at x={float(x[bad][0])!r}; "
-                "assumption violated on the traversed range"
+                f"drift non-positive or non-finite, or 1/F overflows, at "
+                f"x={float(x[bad][0])!r}; assumption violated on the "
+                "traversed range"
             )
-        return 1.0 / f
+        return g
 
     # -- quadrature ---------------------------------------------------------
 
     def _segment_integrals(self, a, b):
         """16-point Gauss-Legendre integral of 1/F over each [a_i, b_i]
-        (a_i <= b_i), and whether the 8-point sum agrees with it: to the
-        piece's share of root_tol, or to 1e-15 relative, a few roundings of
-        such sums."""
+        (a_i <= b_i), and whether the 8-point sum agrees with it: to
+        root_tol per lattice length _SCALE, or to 1e-15 relative, a few
+        roundings of such sums.  Each piece is judged alone, and its sums
+        run over its own row, so its result does not depend on the others."""
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         v = self._inv_drift(mid[:, None] + half[:, None] * _GL_X)
-        i16 = half * (v[:, :16] @ _GL16_W)
-        i8 = half * (v[:, 16:] @ _GL8_W)
-        span = max(float(np.sum(b - a)), 1e-300)
-        local_tol = self.root_tol * np.maximum(b - a, 1e-300) / span
-        ok = np.abs(i16 - i8) <= np.maximum(local_tol, 1e-15 * np.abs(i16))
+        i16 = half * np.sum(v[:, :16] * _GL16_W, axis=1)
+        i8 = half * np.sum(v[:, 16:] * _GL8_W, axis=1)
+        tol = self.root_tol * (b - a) / _SCALE
+        ok = np.abs(i16 - i8) <= np.maximum(tol, 1e-15 * np.abs(i16))
         return i16, ok
 
     # -- the table ------------------------------------------------------------
@@ -171,87 +187,76 @@ class LampertiMap:
         err -= 2.0 * _EPS * np.max(np.abs(ends) * g, axis=0)
         return seg, np.where(ok[:lo.size] & ok[lo.size:] & res_ok, err, np.inf)
 
-    def _knots(self, a, b, anchor):
-        """Knots on [a, b] and Lambda's increment over each cell: first at
-        spacing h = max(_H0, (b - a)/_FIRST_CELLS) from the anchor (a knot,
-        a <= anchor <= b), the end cells clipped to [a, b] (h/2 to 3h/2
-        wide), then each cell split until it passes the midpoint check, so
-        a smooth stretch keeps wide cells."""
+    def _refine(self, lo, hi, budget):
+        """The cells [lo, hi] split until each passes the midpoint check, as
+        (lo, hi, Lambda's increment) in order of lo; a smooth stretch keeps
+        wide cells, and a cell's splits depend on the cell alone."""
         tol = self.root_tol
-        h = max(_H0, (b - a) / _FIRST_CELLS)
-        n_left = 0 if a == anchor else max(round((anchor - a) / h), 1)
-        n_right = 0 if b == anchor else max(round((b - anchor) / h), 1)
-        x = anchor + h * np.arange(-n_left, max(n_right, 1 - n_left) + 1)
-        x[0], x[-1] = a, b
-        lo, hi = _ends(x)
-        done_lo, done_seg, n_done = [], [], 0
+        done, n_done = [], 0
         while lo.size:
             parts = [self._cells(lo[k:k + _CHUNK], hi[k:k + _CHUNK])
                      for k in range(0, lo.size, _CHUNK)]
             seg = np.concatenate([p[0] for p in parts])
             err = np.concatenate([p[1] for p in parts])
             ok = err <= tol
-            done_lo.append(lo[ok])
-            done_seg.append(seg[ok])
+            done.append((lo[ok], hi[ok], seg[ok]))
             n_done += int(np.count_nonzero(ok))
             lo, hi, err = lo[~ok], hi[~ok], err[~ok]
             # the error goes as w^6: split as often as that predicts
             k = np.log2(np.fmin(err / tol, 2.0 ** (6 * _MAX_SPLIT))) / 6.0
             n = 2 ** np.clip(np.ceil(k), 1, _MAX_SPLIT).astype(np.intp)
-            if n_done + n.sum() > _MAX_NODES:
-                raise QuadratureError(
-                    f"a table on [{float(a)!r}, {float(b)!r}] needs more "
-                    f"than the budget of {_MAX_NODES} cells")
+            if n_done + n.sum() > budget:
+                raise _over_budget(lo.min(), hi.max())
             cell = np.repeat(np.arange(n.size), n)
             j = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
             w = (hi - lo)[cell]
             lo, hi = (lo[cell] + w * (j / n[cell]),
                       np.where(j + 1 == n[cell], hi[cell],
                                lo[cell] + w * ((j + 1) / n[cell])))
-        lo, seg = np.concatenate(done_lo), np.concatenate(done_seg)
+        lo, hi, seg = (np.concatenate(v) for v in zip(*done))
         order = np.argsort(lo)
-        return np.append(lo[order], b), seg[order]
+        return lo[order], hi[order], seg[order]
 
-    def _table(self, x, y):
-        """Hermite cells on the knots x with Lambda values y: Lambda's fwd
-        in x, and its inverse's inv in y."""
+    def _cover(self, a, b):
+        """The table, grown by whole lattice cells on each side until a and b
+        lie inside it, short of its end knots (so a point's cell never
+        changes).  Lambda is summed outward from
+        the reference in one order, so growing never changes a value already
+        in the table; a failed growth leaves the table as it was."""
+        t = self._table
+        if t.x[0] < a and b < t.x[-1]:
+            return t
+        with np.errstate(over="ignore"):  # past the float range: inf cells
+            k = _FIRST_CELLS * np.arcsinh(
+                (np.array([a, b]) - self.reference_point) / _SCALE)
+        j0 = t.j0 if t.x[0] < a else min(np.floor(k[0]), t.j0 - 1)
+        j0 -= self._lattice(j0) >= a  # a point on a knot needs a cell past it
+        j1 = t.j1 if b < t.x[-1] else max(np.ceil(k[1]), t.j1 + 1)
+        j1 += self._lattice(j1) <= b
+        budget = _MAX_NODES - (t.x.size - 1)
+        if (t.j0 - j0) + (j1 - t.j1) > budget:
+            raise _over_budget(a, b)
+        j0, j1 = int(j0), int(j1)
+        xl = np.append(self._lattice(np.arange(j0, t.j0)), t.x[0])
+        xr = np.insert(self._lattice(np.arange(t.j1 + 1, j1 + 1)), 0, t.x[-1])
+        lo, hi, seg = self._refine(np.concatenate([xl[:-1], xr[:-1]]),
+                                   np.concatenate([xl[1:], xr[1:]]), budget)
+        left = hi <= t.x[0]
+        y = np.concatenate([
+            np.cumsum(np.append(t.y[0], -seg[left][::-1]))[:0:-1], t.y,
+            np.cumsum(np.append(t.y[-1], seg[~left]))[1:]])
+        x = np.concatenate([lo[left], t.x, hi[~left]])
         g = self._inv_drift(x)
         _, f1, _ = self.drift_jets(x)
-        return SimpleNamespace(
-            x=x, y=y, g=g,
+        self._table = SimpleNamespace(
+            j0=j0, j1=j1, x=x, y=y, g=g,
             fwd=_hermite(_ends(x), _ends(y), _ends(g), _ends(-f1 * g * g)),
             inv=_hermite(_ends(y), _ends(x), _ends(1.0 / g), _ends(f1 / g)))
+        return self._table
 
-    def _table_on(self, hull, a=None, b=None):
-        """The table on the hull (lo <= reference <= hi), accumulated outward
-        from the reference, or that table extended by cells from its ends
-        to reach a <= lo and b >= hi.  Each table depends on these arguments
-        alone, so equal inputs give equal results, and the last few are
-        cached; the cache is replaced, never changed in place."""
-        key = (*hull, a, b)
-        t = self._cache.get(key)
-        if t is None:
-            if a is None:
-                ref = self.reference_point
-                x, seg = self._knots(*hull, ref)
-                r = np.searchsorted(x, ref)  # the reference is a knot
-                y = np.concatenate([-np.cumsum(seg[:r][::-1])[::-1], [0.0],
-                                    np.cumsum(seg[r:])])
-            else:
-                base = self._table_on(hull)
-                x, y = base.x, base.y
-                if a < x[0]:
-                    xa, seg = self._knots(a, x[0], x[0])
-                    x = np.concatenate([xa[:-1], x])
-                    y = np.concatenate([y[0] - np.cumsum(seg[::-1])[::-1], y])
-                if b > x[-1]:
-                    xb, seg = self._knots(x[-1], b, x[-1])
-                    x = np.concatenate([x, xb[1:]])
-                    y = np.concatenate([y, y[-1] + np.cumsum(seg)])
-            t = self._table(x, y)
-            cache = self._cache if len(self._cache) < 4 else {}
-            self._cache = {**cache, key: t}
-        return t
+    def _lattice(self, j):
+        """The knots j of the map's lattice."""
+        return self.reference_point + _SCALE * np.sinh(j / _FIRST_CELLS)
 
     # -- Lambda and its inverse --------------------------------------------
 
@@ -267,49 +272,43 @@ class LampertiMap:
         ref = self.reference_point
         if self.is_constant:
             return _result((x - ref) / self._rate())
-        t = self._table_on((x.min(initial=ref), x.max(initial=ref)))
+        t = self._cover(x.min(initial=ref), x.max(initial=ref))
         j = np.searchsorted(t.x, x, side="right") - 1
-        return _result(_horner(np.take(t.fwd, np.clip(j, 0, len(t.x) - 2),
-                                       axis=1), x))
+        return _result(_horner(np.take(t.fwd, j, axis=1), x))
 
-    def lambda_inverse(self, y, x0=None, lam0=None):
-        """Solve Lambda(x) = y on a table grown until it covers y: each end
-        moves by its first-order guess (y - Lambda) F, doubled per try.
-
-        x0/lam0 optionally give points of y's shape with Lambda(x0) = lam0;
-        the table starts on their hull, and y = lam0 gives x0 exactly.
-        """
+    def lambda_inverse(self, y):
+        """Solve Lambda(x) = y on the table, grown until it covers y: each
+        end short of y moves by its first-order guess (y - Lambda) F,
+        doubled per try."""
         y = _floats("y", y)
         ref = self.reference_point
         if self.is_constant:
             return _result(ref + y * self._rate())
-        start = ref if x0 is None else x0
-        hull = (np.min(start, initial=ref), np.max(start, initial=ref))
-        t = self._table_on(hull)
+        t = self._cover(ref, ref)
         lo, hi = y.min(initial=0.0), y.max(initial=0.0)
         scale = 1.0
-        while lo < t.y[0] or hi > t.y[-1]:
-            a = t.x[0] + scale * min(lo - t.y[0], 0.0) / t.g[0]
-            b = t.x[-1] + scale * max(hi - t.y[-1], 0.0) / t.g[-1]
+        while not t.y[0] < lo <= hi < t.y[-1]:
+            a = ref if t.y[0] < lo else t.x[0] + scale * (lo - t.y[0]) / t.g[0]
+            b = ref if hi < t.y[-1] else (
+                t.x[-1] + scale * (hi - t.y[-1]) / t.g[-1])
             if not math.isfinite(b - a):
                 raise LampertiError(
                     f"no finite table reaches y in [{float(lo)!r}, "
                     f"{float(hi)!r}]; drift bounds likely violated")
-            t = self._table_on(hull, a, b)
+            t = self._cover(a, b)
             scale *= 2.0
         j = np.searchsorted(t.y, y, side="right") - 1
-        x = _horner(np.take(t.inv, np.clip(j, 0, len(t.x) - 2), axis=1), y)
-        if x0 is not None:
-            x = np.where(y == lam0, x0, x)
-        return _result(x)
+        return _result(_horner(np.take(t.inv, j, axis=1), y))
 
     def flow(self, x, t):
-        """phi_t(x) = Lambda^{-1}(Lambda(x) + t); negative t flows backward."""
+        """phi_t(x) = Lambda^{-1}(Lambda(x) + t); negative t flows backward,
+        and phi_0(x) = x exactly."""
         x, t = np.broadcast_arrays(_floats("x", x), _floats("t", t))
         if self.is_constant:
             return _result(x + self._const * t)
         lam = self.lambda_map(x)
-        return self.lambda_inverse(lam + t, x0=x, lam0=lam)
+        y = lam + t
+        return _result(np.where(y == lam, x, self.lambda_inverse(y)))
 
     def transport(self, x, t):
         """(y, dy/dx) for the backward flow y = phi_{-t}(x): dy/dx = F(y)/F(x),

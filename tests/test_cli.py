@@ -270,6 +270,11 @@ class TestPinnedArtifacts:
     compose densities by at most 6.7e-16, so compose7/8/9/14/15/16 were
     re-taken with it.  Reading every atom of a law through the command's
     one map moved the law densities by at most 7.8e-16, so density6/13
+    were re-taken with it.  One Lambda table per map, grown on a lattice of
+    knots fixed by the map, moved their numbers by at most 1.4e-10 (flow3
+    at x = -1, where the new flow is 2.6e-13 from the closed form and the
+    old one 1.4e-10) and the rest by at most 2e-11 (rate2's fit), so
+    girsanov-error0/1, rate2, flow3/4, density5/6, compose7 and sample10
     were re-taken with it."""
 
     CASES = [
@@ -277,43 +282,43 @@ class TestPinnedArtifacts:
             "drift": COS, "T": 0.1, "p_values": [1.0, 1.5, 2.0, 3.0],
             "mc": {"n_paths": 2500, "n_steps": 32, "base_seed": 7},
         }, {"errors.csv":
-            "dffe39df48e959581e99efd4186d4334ca11a00383d98c2cf2fa351a81f9297d"}),
+            "7302d51cd74b80fb5776b854a25e166f66926b3977932e9d4d060ff93bc2f4fd"}),
         ("girsanov-error", {
             "drift": {"builtin": "logistic_floor"}, "T": 0.05,
             "p_values": [2.0, 1.0],
             "mc": {"n_paths": 300, "n_steps": 64, "base_seed": 11},
         }, {"errors.csv":
-            "a72fd837af4c17eba7b26f79696367326bdccb73c4750f42991710fd7e2e12b2"}),
+            "9094f78ef01d6c04ee9d34b564438e3b70639116b2d5677b7abb378769c60387"}),
         ("rate", {
             "drift": COS, "alpha": 1.0, "T_grid": [0.2, 0.1, 0.05],
             "p_values": [1.0, 2.0],
             "mc": {"n_paths": 2100, "n_steps": 32, "base_seed": 5},
         }, {"rate_errors.csv":
-            "e04f7315758134eb9d350fb5f4526acb8b5eb5d8b23d43ea5f5f47e8d1c47091",
+            "8115546dc2b54807aa75bdc33e5a226d9e640096736b6c9752cd8dd265d949d1",
             "rate_fit.json":
-            "ffbb700c589b01407cc5c08975c9779c047e87a36c1551f9e2bd0d15daf0b53c"}),
+            "3b9140e85fa6dcbed7142c7381fb18c88a386dea4409c2e9215a140fa24cbc74"}),
         ("flow", {
             "drift": COS, "t": 0.5,
             "x_values": [-20.0, -7.5, -2.0, -1.0, 0.0, 0.3, 1.0, 2.0, 9.25,
                          20.0, 1000.0],
         }, {"flow.csv":
-            "c4008852b2b663f51873bf4838a5c68fe91ee4c33f4db0bac5a3f11bdbeaf823"}),
+            "4dfcac3b7e33adfa98962de7f7a8b4b059ce51b1523b4ef50e349729c0a91802"}),
         ("flow", {
             "drift": {"builtin": "logistic_floor"}, "t": -0.25,
             "x_values": [-20.0, -7.5, -2.0, -1.0, 0.0, 0.3, 1.0, 2.0, 9.25,
                          20.0, 1000.0],
         }, {"flow.csv":
-            "de2548331da2c515a36d370e427aee628d3c4b8b7f794ce68af8ef59c400391c"}),
+            "544732718e9219e61fc545ea39ec29e943fb042068a2568e0768cd1abadf5a95"}),
     ] + _transport_cases(COS, [
-        ("f12eb977e999a649b9ceffdac981d1d16277093554e79d4203af18090aacdb0c",),
-        ("28ed21a77b737422310ca5b4a58cd7cdb90ca35458725f04c89ee476c6fb38fb",),
-        ("09f412490b53fcbbbfa006eea2c53dabd0d45ad95a22ff1944574b27ae8d3a72",
-         "53a1ceb537c074275320361d5997b1d48ef5076f65531e7020b5db382b3a3687"),
+        ("b5e4b392c8448e8e3abcf8a560823996561e2e18f204a9653601fe554b3fa3f9",),
+        ("9a8e3861d1928d5d189cfdf8c5dd6f44f44d926f7ad7ae6627bba45a71007b8d",),
+        ("f92e62cae5c10c6d4f40e9c66f7fe9f62012595a4f553bb099b2532c2d4a1977",
+         "e104fa6124c5e4bca8a4b1e4887a2646f8edefca1e0ab0b144b06fbcc993b19d"),
         ("bbfb066674108f3fcb206953b2a735692a8792388aba630b4e914bb7f3aed5a2",
          "d33d1609cdd7a76b7f7b2c337666fd9627c1d04337e384496e41e58311cd5908"),
         ("00e5a9acb69924b7bc0e8e57ad1571d38ba2af5101b6dadddeb7c7685ef2c6cf",
          "5b582fa54cd4249d628100ad9c42288e8afec4db97b75f4b18c579ac3d742294"),
-        ("86afac338edccdd21f2decd82785a7f4ad23d67367240754a5eac242dca562d6",),
+        ("c17775b0ca97dfecc117a2ae4fcd1917165b4ace4dfd2039a22628289671961e",),
         ("2af90c9ab1cd082558a309da9fecbd7020586a49cd77de06d4cf375ed6d7975a",),
     ]) + _transport_cases({"expr": "1"}, [
         ("087c2dc6f1a7bac32def3a80ef2de26893b34002719e7de4aeb444adea33f80d",),
@@ -713,6 +718,11 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+def _law(n):
+    """A law of n equal atoms 0.01 apart."""
+    return {"atoms": [[0.01 * i, 1.0 / n] for i in range(n)]}
+
+
 def _run_capped(command, cfg, tmp_path, timeout=120):
     """The finished child that ran the CLI under _MEMORY_PROBE's
     address-space cap, within timeout seconds."""
@@ -731,9 +741,11 @@ def _run_capped(command, cfg, tmp_path, timeout=120):
                     reason="caps the child's RLIMIT_AS via /proc")
 class TestMemoryError:
     @pytest.mark.parametrize("command,cfg", [
-        ("density", {"drift": COS, "T": 0.1, "x_prime": 0.0,
+        # 1e6 points x 32 atoms are within the caps, but their 244 MiB of
+        # kernel cells are not within the child's address space
+        ("density", {"drift": COS, "T": 0.1, "law": _law(32),
                      "grid": {"x_min": -5.0, "x_max": 5.0,
-                              "n_points": 50_000_000}}),
+                              "n_points": 1_000_000}}),
         ("girsanov-error", {"drift": COS, "T": 0.1, "mc": {
             "n_paths": 64, "n_steps": 100_000_000, "base_seed": 1}}),
     ], ids=["density", "girsanov-error"])
@@ -786,7 +798,14 @@ class TestMemoryError:
         ("validate", {"drift": COS, "scan_range": [-1.0, 1.0],
                       "epsilon": 0.5, "scan_points": 1_000_000_000_000},
          "scan_points"),
-    ], ids=["sample-n", "sample-em-steps", "validate-scan-points"])
+        ("density", {"drift": COS, "T": 0.1, "x_prime": 0.0,
+                     "grid": {"x_min": -5.0, "x_max": 5.0,
+                              "n_points": 50_000_000}}, "grid.n_points"),
+        ("density", {"drift": COS, "T": 0.1, "law": _law(64),
+                     "grid": {"x_min": -5.0, "x_max": 5.0,
+                              "n_points": 1_000_000}}, "law.atoms"),
+    ], ids=["sample-n", "sample-em-steps", "validate-scan-points",
+            "density-n-points", "density-law-cells"])
     def test_size_caps(self, command, cfg, key, tmp_path):
         # each would run for hours or past the memory cap: refused before
         # any allocation, well inside the wall-time bound

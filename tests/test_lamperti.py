@@ -237,6 +237,53 @@ class TestTableProperties:
                            rtol=0.0, atol=10.0 * m.root_tol)
 
 
+class TestOneTable:
+    """A value depends only on the map and the point: the table grows on a
+    lattice of knots that the map alone fixes, so neither the other points
+    of a call nor the calls a map served before change a result."""
+
+    @staticmethod
+    def _values(m, v, t):
+        return [m.lambda_map(v), m.lambda_inverse(v), m.flow(v, t),
+                m.flow(v, -t)]
+
+    @_TABLE
+    @given(text=hs.sampled_from(_DRIFTS),
+           alpha=hs.one_of(hs.just(0.0), hs.floats(-1.0, 1.0)), xs=_XS,
+           t=_T, before=hs.lists(hs.floats(-40.0, 40.0), min_size=1,
+                                 max_size=4),
+           keep=hs.lists(hs.booleans(), min_size=20, max_size=20))
+    def test_value_depends_on_map_and_point(self, text, alpha, xs, t, before,
+                                            keep):
+        d = parse_drift(text)
+        fresh = self._values(LampertiMap(d, alpha=alpha), xs, t)
+        # a map that first served wider, narrower or disjoint calls
+        served = LampertiMap(d, alpha=alpha)
+        self._values(served, np.array(before), t)
+        for got, want in zip(self._values(served, xs, t), fresh):
+            assert np.array_equal(got, want)
+        # any sub-batch, on a fresh map
+        sub = np.array(keep[:xs.size])
+        for got, want in zip(
+                self._values(LampertiMap(d, alpha=alpha), xs[sub], t), fresh):
+            assert np.array_equal(got, want[sub])
+
+    def test_covered_call_builds_no_cell(self, monkeypatch):
+        m = LampertiMap(TWO_PLUS_COS)
+        m.flow(np.linspace(-3.0, 3.0, 7), np.array([[0.5], [-0.5]]))
+        built = []
+        cells = LampertiMap._cells
+        monkeypatch.setattr(LampertiMap, "_cells", lambda self, lo, hi: (
+            built.append(lo.size), cells(self, lo, hi))[1])
+        xs = np.linspace(-2.0, 2.0, 5)
+        m.flow(xs, 0.3)
+        m.flow(xs, -0.3)
+        m.lambda_inverse(m.lambda_map(xs))
+        assert built == []
+        m.lambda_map(10.0)  # past the covered range: the table grows
+        assert built
+
+
 class TestTransport:
     @pytest.mark.parametrize("c", [2.5, 1.0, 0.0])
     def test_constant_drift_shifts_with_unit_ratio(self, c):
@@ -366,14 +413,11 @@ class TestReturnPolicy:
             m.lambda_inverse(np.array([0.0, math.inf]))
 
     def test_flow_broadcasts_x_and_t(self):
-        # the quadrature tolerance is shared by the batch, so a smaller
-        # batch agrees to root_tol, not bit for bit
         for text in ("1", "2 + cos(x)"):
             m = LampertiMap(parse_drift(text))
             out = m.flow(self.GRID, np.array([[0.1], [0.2]]))
             assert out.shape == (2, 6)
-            assert np.allclose(out[1], m.flow(self.GRID, 0.2),
-                               rtol=0.0, atol=10.0 * m.root_tol)
+            assert np.array_equal(out[1], m.flow(self.GRID, 0.2))
 
 
 def _horizon_sites():
