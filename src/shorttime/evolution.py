@@ -65,7 +65,8 @@ def liouville_density(m, t, T, x, x_prime):
     _check_horizon(T, t)
     y, ratio = m.transport(x, t)
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
-    return _result(_gaussian(y, x_prime, T, ratio * norm))
+    return _result(_gaussian(y, np.asarray(x_prime, dtype=float), T,
+                             ratio * norm, 0.0))
 
 
 def _trapezoid_weights(grid):

@@ -104,8 +104,13 @@ def u_eval(m, t, x, T):
     _check_horizon(T, t)
     x = np.asarray(x, dtype=float)
     y, ratio = m.transport(x, t)
-    out = ratio * np.exp(-((np.square(y) - np.square(x)) / (2.0 * T)))
-    return _result(out)
+    return _u(y, x, ratio, T)
+
+
+def _u(y, x, ratio, T):
+    """u's closed form ratio * exp(-(y^2 - x^2)/(2T)), given y and ratio."""
+    return _result(ratio * np.exp(-((np.square(y) - np.square(x))
+                                    / (2.0 * T))))
 
 
 def approx_exponential(m, b_T, T):
@@ -114,16 +119,15 @@ def approx_exponential(m, b_T, T):
 
 
 def approx_exponential_euler(m, b_T, T):
-    """Alternative closed form using the drift frozen at the start point.
+    """Alternative closed form using the drift frozen at the start point:
+    u's form with y = B_T - F(0) T and ratio 1,
 
     exp{-(1/2T)[(B_T - F(0) T)^2 - B_T^2]} = exp{F(0) B_T - F(0)^2 T / 2};
     coincides with approx_exponential for constant drift.
     """
     _check_horizon(T)
     b = np.asarray(b_T, dtype=float)
-    c = float(m.drift_at(0.0))
-    out = np.exp(-((np.square(b - c * T) - np.square(b)) / (2.0 * T)))
-    return _result(out)
+    return _u(b - float(m.drift_at(0.0)) * T, b, 1.0, T)
 
 
 def lp_errors(m, horizons, cfg, p_values):

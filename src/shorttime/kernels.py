@@ -14,7 +14,7 @@ from scipy.sparse import csr_matrix
 
 from .lamperti import _GL16_W, _GL16_X, _check_horizon, _result
 
-# Cells per row block of _gaussian: 512 KiB of float64, well inside L2.
+# Cells per row block of _fill: 512 KiB of float64, well inside L2.
 _BLOCK_CELLS = 1 << 16
 # Half-width of _kernel_band in standard deviations sqrt(T): a cell further
 # out is below exp(-_BAND_SIGMAS^2 / 2) = 1e-16 of its row's peak.
@@ -71,57 +71,27 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
 
-def _gaussian(c, x_prime, T, scale, shift=None, damp=None):
-    """scale * exp(-(c - x' - shift)^2 / 2T - damp), broadcast over all
-    operands (shift and damp may be None), into one fresh buffer.
-
-    The buffer is filled in blocks of whole rows of about _BLOCK_CELLS
-    cells, one in-place ufunc chain per block, so no grid-sized temporary
-    exists. The chain keeps the operation order of that one-line formula,
-    so every cell is bitwise what the whole-grid expression gives; the
-    division by -2T equals (-a) / 2T exactly, as IEEE rounding is symmetric
-    in sign.
-    """
-    ops = [np.asarray(v, dtype=float) if v is not None else None
-           for v in (c, x_prime, shift, damp, scale)]
-    shape = np.broadcast_shapes(*(v.shape for v in ops if v is not None))
-    out = np.empty(shape)
-    ops = [np.broadcast_to(v, shape) if v is not None else None for v in ops]
-    if out.ndim == 0:
-        blocks = [...]  # a 0-d view: out[()] would be a scalar copy
-    else:
-        rows = max(1, _BLOCK_CELLS // max(1, math.prod(shape[1:])))
-        blocks = [slice(i, i + rows) for i in range(0, shape[0], rows)]
-    for key in blocks:
-        o = out[key]
-        c, xp, shift, damp, scale = (v[key] if v is not None else None
-                                     for v in ops)
-        np.subtract(c, xp, out=o)
-        if shift is not None:
-            np.subtract(o, shift, out=o)
-        np.square(o, out=o)
-        np.divide(o, -2.0 * T, out=o)
-        if damp is not None:
-            np.subtract(o, damp, out=o)
-        np.exp(o, out=o)
-        np.multiply(o, scale, out=o)
-    return out
+def _gaussian(a, b, T, scale, damp):
+    """scale * exp(-(a - b)^2 / 2T - damp), broadcast over all operands:
+    the one Gaussian of every kernel, a the row centre and b the column
+    centre."""
+    return scale * np.exp(-np.square(a - b) / (2.0 * T) - damp)
 
 
 def _operands(kind, m, T, x, x_prime):
-    """The _gaussian operands (c, x', scale, shift, damp) of the kind's
-    kernel at x and x_prime: the one place the kernel formulas live.  Only
-    the euler_maruyama shift depends on x'; c, scale, damp and the
-    backward_euler/haken shift depend on x alone."""
+    """The _gaussian operands (a, b, scale, damp) of the kind's kernel at x
+    and x_prime: the one place the kernel formulas live.  b depends on x'
+    alone and a, scale and damp on x alone, so on a product grid each
+    runs once per point."""
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
     if kind is KernelKind.GIRSANOV:
         y, ratio = m.transport(x, T)
-        return y, x_prime, norm * ratio, None, None
+        return y, x_prime, norm * ratio, 0.0
     if kind is KernelKind.EULER_MARUYAMA:
-        return x, x_prime, norm, m.drift_at(x_prime) * T, None
+        return x, x_prime + m.drift_at(x_prime) * T, norm, 0.0
     if kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
         f, f1, _ = m.drift_jets(x)
-        return x, x_prime, norm, f * T, f1 * T
+        return x - f * T, x_prime, norm, f1 * T
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
@@ -130,26 +100,46 @@ def kernel_eval(kind, m, T, x, x_prime):
 
     girsanov:        (2 pi T)^{-1/2} (F(y)/F(x)) exp{-(y - x')^2 / 2T},
                      y the backward flow of x over T
-    euler_maruyama:  (2 pi T)^{-1/2} exp{-(x - x' - F(x') T)^2 / 2T}
-    backward_euler:  (2 pi T)^{-1/2} exp{-(x - x' - F(x) T)^2 / 2T - F'(x) T}
+    euler_maruyama:  (2 pi T)^{-1/2} exp{-(x - (x' + F(x') T))^2 / 2T}
+    backward_euler:  (2 pi T)^{-1/2} exp{-((x - F(x) T) - x')^2 / 2T - F'(x) T}
     haken:           identical closed form to backward_euler
-
-    The flow and the jets depend on x only and the euler_maruyama drift on x'
-    only, so on a product grid each runs once per point, not once per cell;
-    the cells themselves fill one buffer of the broadcast shape.
     """
     _check_horizon(T)
     x = np.asarray(x, dtype=float)
     xp = np.asarray(x_prime, dtype=float)
-    c, xp, scale, shift, damp = _operands(kind, m, T, x, xp)
-    return _result(_gaussian(c, xp, T, scale, shift=shift, damp=damp))
+    a, b, scale, damp = _operands(kind, m, T, x, xp)
+    return _result(_gaussian(a, b, T, scale, damp))
+
+
+def _fill(ops, T, start, width, weights):
+    """The rows of _gaussian(*ops) at the width columns from start_i on, each
+    cell times its column's weight, filled in blocks of whole rows of about
+    _BLOCK_CELLS cells, so no temporary is larger than a block.  ops are
+    _operands on 1-D points; a row's columns are contiguous, so they are
+    one row of b's sliding-window view: a row copy, not a cell gather."""
+    a, b, scale, damp = ops
+    a, scale, damp = (v[:, None] for v in np.broadcast_arrays(a, scale, damp))
+    cols = sliding_window_view(b, width)
+    w = sliding_window_view(np.broadcast_to(weights, b.shape), width)
+    out = np.empty((start.size, width))
+    rows = max(1, _BLOCK_CELLS // max(1, width))
+    for r in range(0, start.size, rows):
+        blk = slice(r, r + rows)
+        first = start[blk]
+        np.multiply(_gaussian(a[blk], cols[first], T, scale[blk], damp[blk]),
+                    w[first], out=out[blk])
+    return out
 
 
 def kernel_matrix(m, kind, T, xs, x_primes):
     """Kernel values on the product grid, shape (len(xs), len(x_primes)):
-    kernel_eval with xs as a column and x_primes as a row."""
-    return kernel_eval(kind, m, T, np.reshape(xs, (-1, 1)),
-                       np.reshape(x_primes, (1, -1)))
+    kernel_eval with xs as a column and x_primes as a row, each cell
+    bitwise the same."""
+    _check_horizon(T)
+    xs = np.asarray(xs, dtype=float).ravel()
+    xp = np.asarray(x_primes, dtype=float).ravel()
+    return _fill(_operands(kind, m, T, xs, xp), T,
+                 np.zeros(xs.size, dtype=np.intp), xp.size, 1.0)
 
 
 def _kernel_band(m, kind, T, xs, weights):
@@ -157,53 +147,26 @@ def _kernel_band(m, kind, T, xs, weights):
     columns, as a CSR matrix of its band: the cells within _BAND_SIGMAS
     standard deviations of their row's centre, W per row.
 
-    Every cell is a Gaussian in a_i - b_j: a the row centre (the backward
-    flow of x_i for girsanov, x_i - F(x_i) T for backward_euler/haken, x_i
-    for euler_maruyama), b the column centre (x'_j, or x'_j + F(x'_j) T for
-    euler_maruyama).  Row i keeps the columns from the first j whose
-    running max of b reaches a_i - cut to the last j whose running min from
+    Row i keeps the columns from the first j whose running max of the
+    column centre b reaches a_i - cut to the last j whose running min from
     the right stays within a_i + cut, so a non-monotone b widens the window
     and drops no cell inside the cut.  W is the widest window; each row's
-    start is clipped to [0, n - W].  The cells are filled by _gaussian in
-    row blocks of about _BLOCK_CELLS, each bitwise the kernel_matrix cell
-    times its weight.
+    start is clipped to [0, n - W].  Each cell is bitwise the kernel_matrix
+    cell times its weight.
     """
     xs = np.asarray(xs, dtype=float)
     n = xs.size
-    ops = _operands(kind, m, T, xs[:, None], xs[None, :])
-    # row operands are (n, 1) or 0-d, column operands (1, n)
-    cols = [np.ndim(v) == 2 and v.shape[0] == 1 for v in ops]
-    c, xp, _, shift, _ = ops
-    if shift is None:
-        a, b = c, xp
-    elif cols[3]:  # euler_maruyama's shift F(x') T
-        a, b = c, xp + shift
-    else:
-        a, b = c - shift, xp
-    a, b = a.ravel(), b.ravel()  # (n, 1) and (1, n)
+    ops = _operands(kind, m, T, xs, xs)
+    a, b = ops[:2]
     cut = _BAND_SIGMAS * math.sqrt(T)
     lo = np.searchsorted(np.maximum.accumulate(b), a - cut, side="left")
     hi = np.searchsorted(np.minimum.accumulate(b[::-1])[::-1], a + cut,
                          side="right")
     width = max(1, int(np.max(hi - lo)))
     start = np.clip(lo, 0, n - width)
+    data = _fill(ops, T, start, width, weights)
     indices = np.add(start[:, None].astype(np.int32),
                      np.arange(width, dtype=np.int32))
-    # a row's columns are contiguous, so its column operands are one row of
-    # the operand's sliding-window view: a row copy, not a cell gather
-    ops = [sliding_window_view(v[0], width) if col else v
-           for v, col in zip(ops, cols)]
-    w = sliding_window_view(weights, width)
-    data = np.empty((n, width))
-    rows = max(1, _BLOCK_CELLS // width)
-    for r in range(0, n, rows):
-        blk = slice(r, r + rows)
-        first = start[blk]
-        c, xp, scale, shift, damp = (
-            v[first] if col else v[blk] if np.ndim(v) == 2 else v
-            for v, col in zip(ops, cols))
-        np.multiply(_gaussian(c, xp, T, scale, shift=shift, damp=damp),
-                    w[first], out=data[blk])
     indptr = np.arange(0, n * width + 1, width)
     return csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n, n))
 

@@ -131,10 +131,10 @@ class LampertiMap:
         """(F, F', F'') of the shifted drift at x."""
         return self.drift.jets(self.alpha + np.asarray(x, dtype=float))
 
-    def _inv_drift(self, x):
-        """1/F(x); LampertiError where it is not positive and finite."""
+    def _inv_drift(self, x, f):
+        """1/f, f = F(x); LampertiError where it is not positive and finite."""
         with np.errstate(divide="ignore", over="ignore"):
-            g = 1.0 / self.drift_at(x)
+            g = 1.0 / f
         bad = ~((g > 0.0) & (g < math.inf))
         if np.any(bad):
             raise LampertiError(
@@ -154,7 +154,8 @@ class LampertiMap:
         run over its own row, so its result does not depend on the others."""
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        v = self._inv_drift(mid[:, None] + half[:, None] * _GL_X)
+        x = mid[:, None] + half[:, None] * _GL_X
+        v = self._inv_drift(x, self.drift_at(x))
         i16 = half * np.sum(v[:, :16] * _GL16_W, axis=1)
         i8 = half * np.sum(v[:, 16:] * _GL8_W, axis=1)
         tol = self.root_tol * (b - a) / _SCALE
@@ -170,8 +171,8 @@ class LampertiMap:
         Hermite inverse under quadrature.  The error is inf, so the cell is
         split, where an 8-point sum disagrees with its 16-point one."""
         ends = np.stack([lo, hi])
-        g = self._inv_drift(ends)
-        _, f1, _ = self.drift_jets(ends)
+        f, f1, _ = self.drift_jets(ends)
+        g = self._inv_drift(ends, f)
         mid = 0.5 * (lo + hi)
         half, ok = self._segment_integrals(np.concatenate([lo, mid]),
                                            np.concatenate([mid, hi]))
@@ -246,8 +247,8 @@ class LampertiMap:
             np.cumsum(np.append(t.y[0], -seg[left][::-1]))[:0:-1], t.y,
             np.cumsum(np.append(t.y[-1], seg[~left]))[1:]])
         x = np.concatenate([lo[left], t.x, hi[~left]])
-        g = self._inv_drift(x)
-        _, f1, _ = self.drift_jets(x)
+        f, f1, _ = self.drift_jets(x)
+        g = self._inv_drift(x, f)
         self._table = SimpleNamespace(
             j0=j0, j1=j1, x=x, y=y, g=g,
             fwd=_hermite(_ends(x), _ends(y), _ends(g), _ends(-f1 * g * g)),

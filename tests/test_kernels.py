@@ -229,16 +229,16 @@ def reference_kernel(kind, m, T, x, x_prime):
         return norm * ratio * np.exp(-np.square(y - xp) / (2.0 * T))
     if kind is KernelKind.EULER_MARUYAMA:
         fp = m.drift_at(xp)
-        return norm * np.exp(-np.square(x - xp - fp * T) / (2.0 * T))
+        return norm * np.exp(-np.square(x - (xp + fp * T)) / (2.0 * T))
     f, f1, _ = m.drift_jets(x)
-    return norm * np.exp(-np.square(x - xp - f * T) / (2.0 * T) - f1 * T)
+    return norm * np.exp(-np.square((x - f * T) - xp) / (2.0 * T) - f1 * T)
 
 
 class TestBlockedFill:
     M = LampertiMap(TWO_PLUS_COS)
     T = 0.05
-    # 2,001 columns make 32-row blocks; 70 rows end in a partial block, and
-    # 70,001 points make two blocks of a 1-D grid
+    # kernel_eval on every broadcast shape; in kernel_matrix 2,001 columns
+    # make 32-row blocks, so 40 rows end in a partial block
     SHAPES = {
         "scalar": ((), ()),
         "1d_x_scalar": ((70_001,), ()),
@@ -268,6 +268,21 @@ class TestBlockedFill:
         got = kernel_matrix(self.M, kind, self.T, x, xp)
         want = reference_kernel(kind, self.M, self.T, x[:, None], xp[None, :])
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_matrix_holds_a_few_blocks(self, kind):
+        # past the output, kernel_matrix holds the 1-D operands and a few
+        # row blocks; a whole-grid temporary would be as large as the output
+        x = np.linspace(-1.0, 2.0, 1201)
+        xp = np.linspace(-0.5, 0.5, 2001)
+        kernel_matrix(self.M, kind, self.T, x, xp)  # the table is grown
+        tracemalloc.start()
+        try:
+            got = kernel_matrix(self.M, kind, self.T, x, xp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + 6 * kernels_mod._BLOCK_CELLS * 8
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_nan_cells(self, kind):
