@@ -4,7 +4,12 @@ and Monte Carlo measurement of the L^p gap against the horizon length.
 
 from __future__ import annotations
 
+import itertools
 import math
+import queue
+import threading
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +18,7 @@ from .lamperti import _check_horizon, _result
 
 _CHUNK = 2048  # paths per RNG chunk; fixes seeding independent of workers
 _BLOCK_CELLS = 1 << 16  # path cells per row block: z, inc and B fit in L2
+_AHEAD = 4  # row blocks of normals drawn ahead of the reduction
 
 
 def chunk_rng(base_seed, chunk_index):
@@ -143,8 +149,10 @@ def lp_errors(m, horizons, cfg, p_values):
     grow with n_paths * n_steps.  Chunk i of every horizon holds the same
     normals z, so each row block of z is drawn once, in row order (the
     stream of one (k, n_steps) draw), and scaled by sqrt(T / n_steps) for
-    each T in turn.  The chunk's gaps d = |M_T - u(T, B_T)|, from one
-    approx_exponential call per chunk and T on all its endpoints, feed
+    each T in turn.  A worker thread draws the blocks up to _AHEAD ahead of
+    this reduction (see _normals); the draws are the same, so the bytes do
+    not depend on its timing.  The chunk's gaps d = |M_T - u(T, B_T)|, from
+    one approx_exponential call per chunk and T on all its endpoints, feed
     sum d^p and sum d^(2p) for every p, so each estimate equals a separate
     pass at that T and p bit for bit.
     """
@@ -161,22 +169,22 @@ def lp_errors(m, horizons, cfg, p_values):
     dts = [T / n_steps for T in horizons]
     scales = [math.sqrt(dt) for dt in dts]
     rows = max(1, min(_CHUNK, _BLOCK_CELLS // n_steps))
-    z = np.empty((rows, n_steps))
-    inc = np.empty_like(z)
+    inc = np.empty((rows, n_steps))
     # B at the grid times, column 0 being B_0 = 0; the drift is taken at the
     # left points b[:, :-1] (Ito sums)
     b = np.empty((rows, n_steps + 1))
     b[:, 0] = 0.0
     total = [[0.0] * len(p_values) for _ in horizons]
     total_sq = [[0.0] * len(p_values) for _ in horizons]
-    for rng, k in chunks(cfg.n_paths, _CHUNK, cfg.base_seed):
-        # per horizon and path: the Ito sum, the sum of F^2 and B_T
-        ito, quad, end = np.empty((3, len(horizons), k))
-        for lo in range(0, k, rows):
-            q = min(rows, k - lo)
-            rng.standard_normal(out=z[:q])
+    with closing(_normals(chunks(cfg.n_paths, _CHUNK, cfg.base_seed), rows,
+                          n_steps)) as blocks:
+        for k, lo, z in blocks:
+            if lo == 0:
+                # per horizon and path: the Ito sum, the sum of F^2 and B_T
+                ito, quad, end = np.empty((3, len(horizons), k))
+            q = len(z)
             for j, scale in enumerate(scales):
-                np.multiply(z[:q], scale, out=inc[:q])
+                np.multiply(z, scale, out=inc[:q])
                 np.cumsum(inc[:q], axis=1, out=b[:q, 1:])
                 f = m.drift_at(b[:q, :-1])
                 # inc is not needed after the two products: it holds them
@@ -185,16 +193,71 @@ def lp_errors(m, horizons, cfg, p_values):
                 np.sum(np.multiply(f, f, out=inc[:q]), axis=1,
                        out=quad[j, lo:lo + q])
                 end[j, lo:lo + q] = b[:q, -1]
-        for j, T in enumerate(horizons):
-            m_true = np.exp(ito[j] - 0.5 * (quad[j] * dts[j]))
-            d = np.abs(m_true - approx_exponential(m, end[j], T))
-            for i, p in enumerate(p_values):
-                dp = d ** p
-                total[j][i] += float(np.sum(dp))
-                total_sq[j][i] += float(np.sum(dp * dp))
+            if lo + q < k:
+                continue
+            for j, T in enumerate(horizons):
+                m_true = np.exp(ito[j] - 0.5 * (quad[j] * dts[j]))
+                d = np.abs(m_true - approx_exponential(m, end[j], T))
+                for i, p in enumerate(p_values):
+                    dp = d ** p
+                    total[j][i] += float(np.sum(dp))
+                    total_sq[j][i] += float(np.sum(dp * dp))
     n = cfg.n_paths
     return [[_lp_estimate(s, s2, n, p) for s, s2, p in zip(t, t2, p_values)]
             for t, t2 in zip(total, total_sq)]
+
+
+def _normals(chunk_list, rows, n_steps):
+    """Yield (k, lo, z) for every row block of every (rng, k) chunk of
+    chunk_list, in stream order: z holds rows lo to lo + len(z) of the
+    chunk's (k, n_steps) draw of normals, in one of _AHEAD + 1 reused
+    buffers, valid until the next block is asked for.
+
+    One worker thread draws the blocks, up to _AHEAD ahead of the caller.
+    It runs nothing but rng.standard_normal, which fills its buffer with the
+    GIL released; the chunks (and so every chunk_rng call) are taken here,
+    on the caller's thread.  A failed draw is raised here, at its block.
+    The worker is joined before the generator ends: exhausted, closed or
+    failed."""
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+    worker = threading.Thread(target=_draw, args=(jobs, done))
+    bufs = itertools.cycle([np.empty((rows, n_steps))
+                            for _ in range(_AHEAD + 1)])
+    drawn = deque()  # (k, lo, z) handed to the worker, not yet yielded
+    worker.start()
+    try:
+        for rng, k in chunk_list:
+            for lo in range(0, k, rows):
+                z = next(bufs)[:min(rows, k - lo)]
+                jobs.put((rng, z))
+                drawn.append((k, lo, z))
+                if len(drawn) > _AHEAD:
+                    yield _next_drawn(done, drawn)
+        while drawn:
+            yield _next_drawn(done, drawn)
+    finally:
+        jobs.put(None)
+        worker.join()
+
+
+def _next_drawn(done, drawn):
+    """The oldest block handed to the worker, once it is drawn."""
+    err = done.get()
+    if err is not None:
+        raise err
+    return drawn.popleft()
+
+
+def _draw(jobs, done):
+    """Worker: fill each (rng, z) job's buffer with normals, in order, until
+    None; after a failed draw, report it and stop."""
+    for rng, z in iter(jobs.get, None):
+        try:
+            rng.standard_normal(out=z)
+        except BaseException as err:  # re-raised on the caller's thread
+            done.put(err)
+            return
+        done.put(None)
 
 
 def _lp_estimate(total, total_sq, n, p):

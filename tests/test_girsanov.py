@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -356,6 +358,134 @@ class TestBlockedPass:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class _CountingRng:
+    """A chunk generator that records the thread of each draw, and raises
+    err at draw number fail_at (1-based, counted over the whole pass)."""
+
+    def __init__(self, rng, draws, fail_at=None, err=None):
+        self.rng, self.draws, self.fail_at, self.err = rng, draws, fail_at, err
+
+    def standard_normal(self, *, out):
+        self.draws.append(threading.current_thread())
+        if len(self.draws) == self.fail_at:
+            raise self.err
+        self.rng.standard_normal(out=out)
+
+
+class TestDrawAhead:
+    """One worker thread draws the row blocks of normals, at most
+    girsanov._AHEAD ahead of the reduction; every package call stays on the
+    caller's thread, and the worker is gone when lp_errors returns or
+    raises."""
+
+    M = LampertiMap(TWO_PLUS_COS)
+    # 65 rows a block: partial last blocks in both chunks (2048 and 300)
+    CFG = MCConfig(n_paths=girsanov._CHUNK + 300, n_steps=1000, base_seed=23)
+
+    def _patch(self, monkeypatch, fail_draw=None, fail_drift=None, err=None):
+        """Record the thread of every chunk_rng, drift_at and
+        approx_exponential call and of every draw; drift_at raises err at
+        its block call number fail_drift, the draws at number fail_draw.
+        Returns (package calls, draws, draws begun at each block's
+        drift_at call)."""
+        calls, draws, seen = [], [], []
+        rng, drift_at, approx = (girsanov.chunk_rng, LampertiMap.drift_at,
+                                 girsanov.approx_exponential)
+
+        def chunk_rng_(*a):
+            calls.append(threading.current_thread())
+            return _CountingRng(rng(*a), draws, fail_draw, err)
+
+        def drift_at_(self, x):
+            calls.append(threading.current_thread())
+            if np.ndim(x) == 2:  # a block's left points, not the endpoints
+                seen.append(len(draws))
+                if len(seen) == fail_drift:
+                    raise err
+            return drift_at(self, x)
+
+        def approx_(*a):
+            calls.append(threading.current_thread())
+            return approx(*a)
+
+        monkeypatch.setattr(girsanov, "chunk_rng", chunk_rng_)
+        monkeypatch.setattr(LampertiMap, "drift_at", drift_at_)
+        monkeypatch.setattr(girsanov, "approx_exponential", approx_)
+        return calls, draws, seen
+
+    def test_package_code_runs_on_the_caller_thread(self, monkeypatch):
+        want = lp_errors(self.M, [0.05], self.CFG, [1.0])
+        threads = threading.active_count()
+        calls, draws, seen = self._patch(monkeypatch)
+        assert lp_errors(self.M, [0.05], self.CFG, [1.0]) == want
+        assert threading.active_count() == threads
+        main = threading.main_thread()
+        assert calls and all(t is main for t in calls)
+        # 2048 / 65 -> 32 blocks and 300 / 65 -> 5, each drawn once, all on
+        # one worker thread
+        assert len(draws) == 37 and len(set(draws)) == 1
+        assert draws[0] is not main and not draws[0].is_alive()
+        # drift_at is called once per block (one horizon); by the time
+        # block i is reduced at most _AHEAD more blocks have been begun
+        assert len(seen) == 37
+        assert all(i + 1 <= n <= i + 1 + girsanov._AHEAD
+                   for i, n in enumerate(seen))
+
+    def test_failed_reduction_joins_the_worker(self, monkeypatch):
+        threads = set(threading.enumerate())
+        err = RuntimeError("drift fault at the 5th block")
+        _, draws, seen = self._patch(monkeypatch, fail_drift=5, err=err)
+        with pytest.raises(RuntimeError) as info:
+            lp_errors(self.M, [0.05], self.CFG, [1.0])
+        assert info.value is err
+        assert set(threading.enumerate()) == threads
+        assert not draws[0].is_alive()
+        assert len(seen) == 5
+        assert 5 <= len(draws) <= 5 + girsanov._AHEAD
+
+    @pytest.mark.parametrize("fail_draw", [1, 3, 33, 37])
+    def test_failed_draw_surfaces_in_the_caller(self, monkeypatch,
+                                                fail_draw):
+        threads = set(threading.enumerate())
+        err = FloatingPointError("draw fault")
+        _, draws, seen = self._patch(monkeypatch, fail_draw=fail_draw,
+                                     err=err)
+        with pytest.raises(FloatingPointError) as info:
+            lp_errors(self.M, [0.05], self.CFG, [1.0])
+        assert info.value is err
+        assert set(threading.enumerate()) == threads
+        assert len(draws) == fail_draw
+        # the blocks before the failed one were reduced, and no later one
+        assert len(seen) == fail_draw - 1
+
+    def test_concurrent_callers_under_fast_switching(self):
+        # three callers, each with its own worker: six threads switching
+        # every microsecond; a buffer handed back to the worker while still
+        # being reduced would change the estimates
+        cfg = MCConfig(n_paths=girsanov._CHUNK + 300, n_steps=200,
+                       base_seed=29)
+        want = [_per_p_pass(self.M, 0.05, cfg, p) for p in (1.0, 2.0)]
+        got = [None] * 3
+
+        def call(i):
+            got[i] = lp_errors(LampertiMap(TWO_PLUS_COS), [0.05], cfg,
+                               [1.0, 2.0])[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,))
+                       for i in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert all(_same(ests, want) for ests in got)
 
 
 class TestRateFit:
