@@ -52,6 +52,9 @@ _MAX_SAMPLES = 10_000_000
 _MAX_EM_STEPS = 100_000_000
 # Cap on validate's scan_points: 1e7 drift jets, 2,500x the configs' 4,001.
 _MAX_SCAN_POINTS = 10_000_000
+# Cap on mc.n_paths x mc.n_steps x horizons of a Monte Carlo pass: 2.5e10
+# path steps, 12x the 100,000 x 4,096 x 5 of configs/rate_study.json.
+_MAX_MC_STEPS = 25_000_000_000
 
 
 def _require(cfg, key, default=None):
@@ -267,20 +270,23 @@ def _fp_steps(cfg, grid):
     return steps
 
 
-def _mc_config(cfg):
+def _mc_config(cfg, n_horizons):
+    """The mc sub-object for a pass over n_horizons horizons, refused past
+    _MAX_MC_STEPS path steps before any path is drawn."""
     mc = _require(cfg, "mc")
-    return girsanov.MCConfig(
-        n_paths=_num(mc, "n_paths", count=True),
-        n_steps=_num(mc, "n_steps", count=True),
-        base_seed=_num(mc, "base_seed", count=True),
-    )
+    n_paths = _num(mc, "n_paths", count=True)
+    n_steps = _num(mc, "n_steps", count=True)
+    _capped(n_paths * n_steps * n_horizons,
+            "mc.n_paths x mc.n_steps x horizons", _MAX_MC_STEPS)
+    return girsanov.MCConfig(n_paths=n_paths, n_steps=n_steps,
+                             base_seed=_num(mc, "base_seed", count=True))
 
 
 def _cmd_girsanov_error(cfg, out):
     m = _build_map(cfg)
     T = _num(cfg, "T")
     p_values = _nums(cfg, "p_values", [2.0])
-    ests = girsanov.lp_errors(m, [T], _mc_config(cfg), p_values)[0]
+    ests = girsanov.lp_errors(m, [T], _mc_config(cfg, 1), p_values)[0]
     path = os.path.join(out, "errors.csv")
     _write_csv(path, ["T", "p", "error_mean", "std_error"], [T] * len(ests),
                p_values, [e.mean for e in ests], [e.std_error for e in ests])
@@ -291,7 +297,7 @@ def _cmd_rate(cfg, out):
     m = _build_map(cfg)
     t_grid = _nums(cfg, "T_grid")
     p_values = _nums(cfg, "p_values", [1.0, 2.0])
-    mc = _mc_config(cfg)
+    mc = _mc_config(cfg, len(t_grid))
     if len(set(t_grid)) < 3:  # rate_fit's own check, made before any path
         raise ConfigError("'T_grid' needs at least 3 distinct T values")
     # one common-path pass shares its draws across T_grid and serves every

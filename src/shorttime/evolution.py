@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .kernels import (KernelKind, _check_tails, _gaussian, _kernel_band,
                       kernel_matrix)
@@ -109,6 +108,9 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
     tolerances.  The spatial operator is in conservative flux form, so grid
     mass is constant up to solver roundoff.
     """
+    # imported on first use: `import shorttime` loads no scipy module
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     _check_horizon(T)
     if n_time_steps < 1:
         raise ValueError("need at least one time step")

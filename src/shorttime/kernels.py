@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.sparse import csr_matrix
 
 from .lamperti import _GL16_W, _GL16_X, _check_horizon, _result
 
@@ -154,6 +153,9 @@ def _kernel_band(m, kind, T, xs, weights):
     start is clipped to [0, n - W].  Each cell is bitwise the kernel_matrix
     cell times its weight.
     """
+    # imported on first use: `import shorttime` loads no scipy module
+    from scipy.sparse import csr_matrix
+
     xs = np.asarray(xs, dtype=float)
     n = xs.size
     ops = _operands(kind, m, T, xs, xs)

@@ -726,18 +726,22 @@ def _law(n):
     return {"atoms": [[0.01 * i, 1.0 / n] for i in range(n)]}
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this shorttime."""
+    src = os.path.dirname(os.path.dirname(shorttime.__file__))
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_capped(command, cfg, tmp_path, timeout=120):
     """The finished child that ran the CLI under _MEMORY_PROBE's
     address-space cap, within timeout seconds."""
-    src = os.path.dirname(os.path.dirname(shorttime.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "out"
     return subprocess.run(
         [sys.executable, "-c", _MEMORY_PROBE, command, "--config",
          write_cfg(tmp_path, "c.json", cfg), "--out-dir", str(out)],
-        env=env, capture_output=True, text=True, timeout=timeout)
+        env=_child_env(), capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -807,8 +811,16 @@ class TestMemoryError:
         ("density", {"drift": COS, "T": 0.1, "law": _law(64),
                      "grid": {"x_min": -5.0, "x_max": 5.0,
                               "n_points": 1_000_000}}, "law.atoms"),
+        ("girsanov-error", {"drift": COS, "T": 0.1, "mc": {
+            "n_paths": 1_000_000_000_000, "n_steps": 4, "base_seed": 1}},
+         "mc.n_paths"),
+        # 1e10 path steps a horizon, past the cap only over all three
+        ("rate", {"drift": COS, "T_grid": [0.2, 0.1, 0.05], "mc": {
+            "n_paths": 2_500_000_000, "n_steps": 4, "base_seed": 1}},
+         "mc.n_paths"),
     ], ids=["sample-n", "sample-em-steps", "validate-scan-points",
-            "density-n-points", "density-law-cells"])
+            "density-n-points", "density-law-cells", "girsanov-error-mc",
+            "rate-mc"])
     def test_size_caps(self, command, cfg, key, tmp_path):
         # each would run for hours or past the memory cap: refused before
         # any allocation, well inside the wall-time bound
@@ -818,3 +830,63 @@ class TestMemoryError:
         assert error["kind"] == "config"
         assert key in error["message"]
         assert not any((tmp_path / "out").iterdir())
+
+
+# Runs cli.main on each argv list of a JSON list in a fresh interpreter and
+# prints, as its last line, the scipy modules loaded after the import and
+# after each command, with each command's exit code.
+_IMPORT_PROBE = """
+import json, sys
+from shorttime import cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = [[0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    seen.append([cli.main(argv), scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+class TestColdStart:
+    """scipy is imported by the three functions that call it, on their
+    first call: the import of the CLI, and every command that runs none
+    of them, loads no scipy module."""
+
+    BASE = TestConfigNumbers.BASE
+
+    def _seen(self, tmp_path, runs):
+        """[(exit code, scipy modules)] after the import and after each
+        (command, config changes) of runs, all in one fresh interpreter."""
+        argvs = []
+        for i, (command, changes) in enumerate(runs):
+            cfg = write_cfg(tmp_path, f"c{i}.json",
+                            dict(self.BASE[command], **changes))
+            argvs.append([command, "--config", cfg,
+                          "--out-dir", str(tmp_path / f"out{i}")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert self._seen(tmp_path, []) == [[0, []]]
+
+    def test_commands_without_scipy(self, tmp_path):
+        csv = {"sample": {"n": 10, "seed": 1, "output": "csv"}}
+        seen = self._seen(tmp_path, [
+            ("flow", {}), ("validate", {}), ("density", {}),
+            ("girsanov-error", {}), ("sample", csv)])
+        assert seen == [[0, []]] * 6
+
+    @pytest.mark.parametrize("command,changes,module", [
+        ("fp-solve", {}, "scipy.linalg"),
+        ("compose", {"n_slices": 2}, "scipy.sparse"),
+        ("sample", {}, "scipy.special"),
+    ], ids=["fp-solve", "compose", "sample-summary"])
+    def test_lazy_import_on_first_use(self, command, changes, module,
+                                      tmp_path):
+        (_, before), (code, after) = self._seen(tmp_path,
+                                                [(command, changes)])
+        assert before == [] and code == 0
+        assert module in after

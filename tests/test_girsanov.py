@@ -220,6 +220,48 @@ class TestLpError:
         assert fit.r_squared >= 0.95
 
 
+class TestLeadingTerm:
+    """log M_T - log u(T, B_T) = lead + O(T^2), with x = B_T and F0, F1, F2
+    the drift and its two derivatives at the start:
+
+    lead = -F1 (x^2 - T) / 2 + F2 (T x - A / 2 - x^3 / 3)
+           + F0 F1 (3 T x / 2 - A),   A = integral of B_s over [0, T].
+
+    So the gap left after the lead falls faster in T than the gap itself,
+    both where F1 = 0 (alpha = 0, the gap of order T^(3/2)) and where it
+    is not (alpha = 1, of order T)."""
+
+    T_PAIR = (0.0125, 0.003125)
+
+    @staticmethod
+    def _mean_gaps(m, T, n_paths=1000, n_steps=4096):
+        """E|D| and E|D - lead| over n_paths seeded paths on [0, T]."""
+        f0, f1, f2 = (float(v) for v in m.drift_jets(0.0))
+        paths = [BrownianPath.generate(T, n_steps, seed=i)
+                 for i in range(n_paths)]
+        b = np.array([p.cumulative() for p in paths])
+        x = b[:, -1]
+        area = np.sum(b[:, :-1] + b[:, 1:], axis=1) * (0.5 * T / n_steps)
+        d = (np.log([simulate_exponential(m, p) for p in paths])
+             - np.log(approx_exponential(m, x, T)))
+        lead = (-0.5 * f1 * (x * x - T)
+                + f2 * (T * x - 0.5 * area - x ** 3 / 3.0)
+                + f0 * f1 * (1.5 * T * x - area))
+        return float(np.mean(np.abs(d))), float(np.mean(np.abs(d - lead)))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_residual_falls_faster_than_the_gap(self, alpha):
+        m = LampertiMap(TWO_PLUS_COS, alpha=alpha)
+        (gap1, res1), (gap2, res2) = (self._mean_gaps(m, T)
+                                      for T in self.T_PAIR)
+        ratio = math.log(self.T_PAIR[0] / self.T_PAIR[1])
+        gap_slope = math.log(gap1 / gap2) / ratio
+        res_slope = math.log(res1 / res2) / ratio
+        # 1.55 -> 2.00 at alpha = 0 and 1.03 -> 1.90 at alpha = 1
+        assert res_slope >= gap_slope + 0.3, (gap_slope, res_slope)
+        assert res2 < gap2
+
+
 def _per_p_pass(m, T, cfg, p):
     """A separate common-path pass per p, written out plainly: the oracle
     that the one-pass lp_errors must match bit for bit."""

@@ -356,6 +356,18 @@ class TestFlowGuards:
         assert m.lambda_map(1e4) == pytest.approx(
             float(lambda_cos_exact(1e4)), abs=1e-6)
 
+    @pytest.mark.xfail(raises=LampertiError, strict=True,
+                       reason="the table grows by whole lattice cells, and "
+                              "the cell below 0.04 reaches past F's zero "
+                              "at 0 (a knot sits at x = -4e-6)")
+    def test_point_near_a_zero_of_the_drift(self):
+        # F = x is positive on (0, inf), and both flows stay inside it
+        m = LampertiMap(parse_drift("x"), reference_point=1.0)
+        assert m.flow(0.06, 0.5) == pytest.approx(0.06 * math.exp(0.5),
+                                                   rel=1e-8)
+        assert m.flow(0.04, 0.5) == pytest.approx(0.04 * math.exp(0.5),
+                                                   rel=1e-8)
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="caps the child's RLIMIT_AS via /proc")
     @pytest.mark.parametrize("x,t", [
