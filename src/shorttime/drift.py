@@ -1,9 +1,10 @@
-"""Drift expressions: parsing, second-order forward-mode AD, bound checking.
+"""Drift expressions: parsing, truncated Taylor arithmetic, bound checking.
 
 The drift f(x) is supplied as a small expression over the single variable x
 with +, -, *, /, ^ (constant exponent only) and the functions sin, cos, exp,
-tanh.  Evaluation supports plain floats, numpy arrays, and order-2 jets, so
-f, f' and f'' come out of a single pass with no finite differencing.
+tanh.  One evaluator serves plain floats and numpy arrays at orders 0, 1 and
+2, so f, (f, f') or (f, f', f'') come out of a single pass with no finite
+differencing, and no order is computed that was not asked for.
 """
 
 from __future__ import annotations
@@ -37,110 +38,50 @@ _MAX_DEPTH = 100  # AST nesting, far inside the recursive evaluator's stack
 
 
 # ---------------------------------------------------------------------------
-# Order-2 jets: (value, first derivative, second derivative) propagated
-# through arithmetic.  Components may be scalars or numpy arrays.
+# Truncated Taylor arithmetic: a node evaluates to (f, f', f'')[:k + 1], the
+# components scalars or numpy arrays, each order computed only if asked for.
 
-class Jet2:
-    __slots__ = ("f", "f1", "f2")
-
-    def __init__(self, f, f1, f2):
-        self.f = f
-        self.f1 = f1
-        self.f2 = f2
-
-    @staticmethod
-    def variable(x):
-        zero = _zeros_like(x)
-        return Jet2(x, zero + 1.0, zero)
-
-    def __add__(self, o):
-        return Jet2(self.f + o.f, self.f1 + o.f1, self.f2 + o.f2)
-
-    def __sub__(self, o):
-        return Jet2(self.f - o.f, self.f1 - o.f1, self.f2 - o.f2)
-
-    def __mul__(self, o):
-        return Jet2(
-            self.f * o.f,
-            self.f1 * o.f + self.f * o.f1,
-            self.f2 * o.f + 2.0 * self.f1 * o.f1 + self.f * o.f2,
-        )
-
-    def __truediv__(self, o):
-        q = self.f / o.f
-        q1 = (self.f1 - q * o.f1) / o.f
-        q2 = (self.f2 - 2.0 * q1 * o.f1 - q * o.f2) / o.f
-        return Jet2(q, q1, q2)
-
-    def __neg__(self):
-        return Jet2(-self.f, -self.f1, -self.f2)
-
-    def _chain(self, g, g1, g2):
-        return Jet2(g, g1 * self.f1, g2 * self.f1 * self.f1 + g1 * self.f2)
-
-    def sin(self):
-        s, c = np.sin(self.f), np.cos(self.f)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = np.sin(self.f), np.cos(self.f)
-        return self._chain(c, -s, -c)
-
-    def exp(self):
-        e = np.exp(self.f)
-        return self._chain(e, e, e)
-
-    def tanh(self):
-        t = np.tanh(self.f)
-        sech2 = 1.0 - t * t
-        return self._chain(t, sech2, -2.0 * t * sech2)
-
-    def pow_const(self, n):
-        v = self.f
-        if n != int(n) and np.any(v < 0.0):
-            raise DriftDomainError("negative base with non-integer exponent")
-        if n < 1 and np.any(v == 0.0):
-            raise DriftDomainError("zero base with exponent below 1")
-        g = np.power(v, n)
-        g1 = n * np.power(v, n - 1) if n != 0 else _zeros_like(v)
-        g2 = n * (n - 1) * np.power(v, n - 2) if n not in (0, 1) else _zeros_like(v)
-        return self._chain(g, g1, g2)
+# each function's g, g' = d1(v, g) and g'' = d2(v, g, g') at its argument v
+_CALLS = {
+    "sin": (np.sin, lambda v, g: np.cos(v), lambda v, g, g1: -g),
+    "cos": (np.cos, lambda v, g: -np.sin(v), lambda v, g, g1: -g),
+    "exp": (np.exp, lambda v, g: g, lambda v, g, g1: g),
+    "tanh": (np.tanh, lambda v, g: 1.0 - g * g,
+             lambda v, g, g1: -2.0 * g * g1),
+}
 
 
-def _zeros_like(v):
-    return np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
+def _chain(u, g, d1, d2):
+    """g(u) to the order of u, with g' and g'' from d1 and d2 as in _CALLS."""
+    g0 = g(u[0])
+    if len(u) == 1:
+        return (g0,)
+    g1 = d1(u[0], g0)
+    if len(u) == 2:
+        return g0, g1 * u[1]
+    return g0, g1 * u[1], d2(u[0], g0, g1) * u[1] * u[1] + g1 * u[2]
 
 
-def _promote(lhs, rhs):
-    """Lift a plain number to a constant jet next to a Jet2 operand (zeros,
-    not 0 * f, so an overflowed f = inf does not turn the constant to nan)."""
-    if isinstance(lhs, Jet2) and not isinstance(rhs, Jet2):
-        zero = _zeros_like(lhs.f)
-        rhs = Jet2(rhs + zero, zero, zero)
-    elif isinstance(rhs, Jet2) and not isinstance(lhs, Jet2):
-        zero = _zeros_like(rhs.f)
-        lhs = Jet2(lhs + zero, zero, zero)
-    return lhs, rhs
-
-
-def _div(lhs, rhs):
-    if np.any((rhs.f if isinstance(rhs, Jet2) else rhs) == 0.0):
+def _div(a, b):
+    """a / b to the order of a and b."""
+    if np.any(b[0] == 0.0):
         raise DriftDomainError("division by zero")
-    q = lhs / rhs
-    if isinstance(q, Jet2):
+    q = (a[0] / b[0],)
+    if len(a) > 1:
+        q += ((a[1] - q[0] * b[1]) / b[0],)
+    if len(a) > 2:
+        q += ((a[2] - 2.0 * q[1] * b[1] - q[0] * b[2]) / b[0],)
         # rounding in the quotient rule grows by 1/|divisor| per order, so
-        # next to a divisor's zero (x/sin(x) at 1e-12) f' and f'' are noise
-        e1 = _EPS * (abs(lhs.f1) + 2.0 * abs(q.f * rhs.f1)) / abs(rhs.f)
-        e2 = 2.0 * e1 * abs(rhs.f1 / rhs.f)
-        if np.any((e1 > 1e-6 * (1.0 + abs(q.f1)))
-                  | (e2 > 1e-6 * (1.0 + abs(q.f2)))):
+        # next to a divisor's zero (x/sin(x) at 1e-12) f' and f'' are noise.
+        # The check needs f'': a drift with x in a divisor runs at order 2
+        # whatever the order asked (DriftExpr._eval), and with a constant
+        # divisor the check never fires
+        e1 = _EPS * (abs(a[1]) + 2.0 * abs(q[0] * b[1])) / abs(b[0])
+        e2 = 2.0 * e1 * abs(b[1] / b[0])
+        if np.any((e1 > 1e-6 * (1.0 + abs(q[1])))
+                  | (e2 > 1e-6 * (1.0 + abs(q[2])))):
             raise DriftDomainError("quotient derivatives lost to rounding")
     return q
-
-
-# add, sub, mul and div for floats, arrays and jets alike, after _promote
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "div": _div}
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +190,7 @@ class _Parser:
             exponent = self.factor()
             if _contains_x(exponent):
                 raise DriftParseError("exponent must be constant", tok[2])
-            return ("pow", base, float(_eval_ast(exponent, 0.0)))
+            return ("pow", base, float(_taylor(exponent, 0.0, 0)[0]))
         return base
 
     def atom(self):
@@ -301,31 +242,47 @@ def _has_x_divisor(node):
     return any(_has_x_divisor(c) for c in node[1:] if isinstance(c, tuple))
 
 
-def _eval_ast(node, x):
+def _taylor(node, x, k):
+    """(f, f', f'')[:k + 1] of node at x, a float or an array."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        return (node[1], 0.0, 0.0)[:k + 1]
     if kind == "x":
-        return x
+        return (x, 1.0, 0.0)[:k + 1]
+    if k and not _contains_x(node):
+        # an x-free subtree: its value, with exact zeros as derivatives (not
+        # 0 * g', which an overflowed g' = inf would turn to nan) and none of
+        # their domain checks (0^0.5 + x is defined at every order)
+        return (_taylor(node, x, 0)[0], 0.0, 0.0)[:k + 1]
     if kind == "neg":
-        return -_eval_ast(node[1], x)
-    if kind in _BINARY:
-        lhs, rhs = _promote(_eval_ast(node[1], x), _eval_ast(node[2], x))
-        return _BINARY[kind](lhs, rhs)
-    if kind == "pow":
-        base = _eval_ast(node[1], x)
-        n = node[2]
-        if isinstance(base, Jet2):
-            return base.pow_const(n)
-        if n != int(n) and np.any(base < 0.0):
-            raise DriftDomainError("negative base with non-integer exponent")
-        return np.power(base, n)
+        return tuple(-c for c in _taylor(node[1], x, k))
     if kind == "call":
-        arg = _eval_ast(node[2], x)
-        name = node[1]
-        if isinstance(arg, Jet2):
-            return getattr(arg, name)()
-        return getattr(np, name)(arg)
+        return _chain(_taylor(node[2], x, k), *_CALLS[node[1]])
+    if kind == "pow":
+        u, n = _taylor(node[1], x, k), node[2]
+        if n != int(n) and np.any(u[0] < 0.0):
+            raise DriftDomainError("negative base with non-integer exponent")
+        if k and n < 1 and np.any(u[0] == 0.0):
+            raise DriftDomainError("zero base with exponent below 1")
+        return _chain(
+            u, lambda v: np.power(v, n),
+            lambda v, g: n * np.power(v, n - 1) if n != 0 else 0.0,
+            lambda v, g, g1:
+                n * (n - 1) * np.power(v, n - 2) if n not in (0, 1) else 0.0)
+    a, b = _taylor(node[1], x, k), _taylor(node[2], x, k)
+    if kind == "add":
+        return tuple(map(operator.add, a, b))
+    if kind == "sub":
+        return tuple(map(operator.sub, a, b))
+    if kind == "mul":
+        out = (a[0] * b[0],)
+        if k:
+            out += (a[1] * b[0] + a[0] * b[1],)
+        if k > 1:
+            out += (a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2],)
+        return out
+    if kind == "div":
+        return _div(a, b)
     raise AssertionError(f"unknown node {kind!r}")
 
 
@@ -357,25 +314,26 @@ class DriftExpr:
 
     ast: tuple
     source_text: str
-    # a divisor in x: plain values go through the jets, so that they fail
-    # where the jets do (see _div)
+    # a divisor in x: every order runs at 2, so that values and (f, f') fail
+    # where f'' does (see _div)
     _x_divisor: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_x_divisor", _has_x_divisor(self.ast))
 
-    def __call__(self, x):
-        if self._x_divisor:
-            return self.jets(x)[0]
-        return _eval_ast(self.ast, x)
+    def _eval(self, x, k):
+        return _taylor(self.ast, x, 2 if self._x_divisor else k)[:k + 1]
 
-    def jets(self, x):
-        """Return (f, f', f'') at x (scalar or array) via order-2 duals."""
-        out = _eval_ast(self.ast, Jet2.variable(x))
-        if not isinstance(out, Jet2):  # constant expression
-            z = _zeros_like(x)
-            return out + z, z, _zeros_like(x)
-        return out.f, out.f1, out.f2
+    def __call__(self, x):
+        """f at x (scalar or array)."""
+        return self._eval(x, 0)[0]
+
+    def jets(self, x, order=2):
+        """(f, f', f'')[:order + 1] at x (scalar or array), each of x's
+        shape."""
+        shape = np.shape(x)
+        return tuple(c if np.shape(c) == shape else np.full(shape, c)
+                     for c in self._eval(x, order))
 
     @property
     def is_constant(self):
@@ -452,12 +410,21 @@ def validate_assumption(d, scan_range, epsilon, n):
     try:
         f, f1, f2 = d.jets(xs)
     except DriftDomainError:
-        # Retry pointwise to report where evaluation broke down.
-        for x in xs:
+        # bisect for the first point where evaluation breaks down: a slice
+        # fails iff one of its points does, so xs[i:j] always holds it
+        i, j = 0, n
+        while j - i > 1:
+            mid = (i + j) // 2
             try:
-                d.jets(float(x))
-            except DriftDomainError as exc:
-                raise DriftDomainError(f"{exc} at x={x!r}") from None
+                d.jets(xs[i:mid])
+                i = mid
+            except DriftDomainError:
+                j = mid
+        x = float(xs[i])
+        try:
+            d.jets(x)
+        except DriftDomainError as exc:
+            raise DriftDomainError(f"{exc} at x={x!r}") from None
         raise
     f_min = float(np.min(f))
     return AssumptionReport(

@@ -117,7 +117,7 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
     xs = grid.points()
     dx = grid.dx
     t0 = min(1e-3, T / 100.0)
-    f0, f1, _ = m.drift_jets(x_prime)
+    f0, f1 = m.drift_jets(x_prime)
     f0, f1 = float(f0), float(f1)
     mu0 = x_prime + f0 * t0 + 0.5 * f0 * f1 * t0 * t0
     var0 = max(t0 * (1.0 + f1 * t0), 0.5 * t0)

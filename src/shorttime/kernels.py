@@ -89,7 +89,7 @@ def _operands(kind, m, T, x, x_prime):
     if kind is KernelKind.EULER_MARUYAMA:
         return x, x_prime + m.drift_at(x_prime) * T, norm, 0.0
     if kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
-        f, f1, _ = m.drift_jets(x)
+        f, f1 = m.drift_jets(x)
         return x - f * T, x_prime, norm, f1 * T
     raise ValueError(f"unknown kernel kind {kind!r}")
 

@@ -128,8 +128,8 @@ class LampertiMap:
             np.asarray(self.drift(self.alpha + x), dtype=float), x.shape)
 
     def drift_jets(self, x):
-        """(F, F', F'') of the shifted drift at x."""
-        return self.drift.jets(self.alpha + np.asarray(x, dtype=float))
+        """(F, F') of the shifted drift at x, from one order-1 pass."""
+        return self.drift.jets(self.alpha + np.asarray(x, dtype=float), 1)
 
     def _inv_drift(self, x, f):
         """1/f, f = F(x); LampertiError where it is not positive and finite."""
@@ -171,7 +171,7 @@ class LampertiMap:
         Hermite inverse under quadrature.  The error is inf, so the cell is
         split, where an 8-point sum disagrees with its 16-point one."""
         ends = np.stack([lo, hi])
-        f, f1, _ = self.drift_jets(ends)
+        f, f1 = self.drift_jets(ends)
         g = self._inv_drift(ends, f)
         mid = 0.5 * (lo + hi)
         half, ok = self._segment_integrals(np.concatenate([lo, mid]),
@@ -247,7 +247,7 @@ class LampertiMap:
             np.cumsum(np.append(t.y[0], -seg[left][::-1]))[:0:-1], t.y,
             np.cumsum(np.append(t.y[-1], seg[~left]))[1:]])
         x = np.concatenate([lo[left], t.x, hi[~left]])
-        f, f1, _ = self.drift_jets(x)
+        f, f1 = self.drift_jets(x)
         g = self._inv_drift(x, f)
         self._table = SimpleNamespace(
             j0=j0, j1=j1, x=x, y=y, g=g,

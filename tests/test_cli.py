@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import shorttime
 from shorttime import cli
+from shorttime.drift import DriftExpr
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -341,6 +342,17 @@ class TestPinnedArtifacts:
             "kind": "girsanov", "grid": _GRID,
         }, {"density.csv":
             "9b051681e0fadba3131de36d26a21f74c140324d06362c3c192f663cda8f1e51"}),
+        # f2_max_abs is the one artifact number that reads F''
+        ("validate", {
+            "drift": COS, "scan_range": [-20.0, 20.0], "epsilon": 0.5,
+            "scan_points": 4001,
+        }, {"validate_report.json":
+            "be582b27fd2c334804f3a7ed610aa26fdda229033c0bc925f961299aad2eadac"}),
+        ("validate", {
+            "drift": {"expr": "(2 + cos(x))/(1.5 + sin(x))"},
+            "scan_range": [-3.0, 3.0], "epsilon": 0.1, "scan_points": 2001,
+        }, {"validate_report.json":
+            "44e2ff2605c5a90447427f4b55bf36b7412e16b8237053545c2b67b4522c190e"}),
     ]
 
     @pytest.mark.parametrize("command,cfg,digests", CASES,
@@ -349,6 +361,42 @@ class TestPinnedArtifacts:
         manifest = cli.run_command(command, cfg, str(tmp_path))
         got = {os.path.basename(p): _sha256(p) for p in manifest["outputs"]}
         assert got == digests
+
+
+class TestDriftOrders:
+    """F'' is read by validate alone: every other command asks the drift
+    for (F, F') at most."""
+
+    @staticmethod
+    def _orders(monkeypatch, tmp_path, command, cfg):
+        orders = []
+        jets = DriftExpr.jets
+
+        def spy(self, x, order=2):
+            orders.append(order)
+            return jets(self, x, order)
+
+        monkeypatch.setattr(DriftExpr, "jets", spy)
+        cli.run_command(command, cfg, str(tmp_path))
+        return orders
+
+    @pytest.mark.parametrize("command,cfg", [
+        # a fresh map: the flow grows its Lambda table
+        ("flow", {"drift": COS, "t": 0.5, "x_values": [-2.0, 0.0, 9.25]}),
+        ("density", {"drift": COS, "T": 0.1, "x_prime": 0.25, "kind": "all",
+                     "grid": _GRID}),
+        ("compose", {"drift": COS, "T": 0.4, "x_prime": 0.25, "n_slices": 2,
+                     "kind": "backward_euler", "grid": _GRID}),
+        ("fp-solve", {"drift": COS, "T": 0.2, "x_prime": 0.25,
+                      "n_time_steps": 20, "grid": _GRID}),
+    ], ids=["flow", "density", "compose", "fp-solve"])
+    def test_first_order_at_most(self, monkeypatch, tmp_path, command, cfg):
+        orders = self._orders(monkeypatch, tmp_path, command, cfg)
+        assert orders and max(orders) <= 1
+
+    def test_validate_reads_second_order(self, monkeypatch, tmp_path):
+        cfg = {"drift": COS, "scan_range": [-20.0, 20.0], "epsilon": 0.5}
+        assert self._orders(monkeypatch, tmp_path, "validate", cfg) == [2]
 
 
 class TestComposeAndFp:

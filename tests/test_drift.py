@@ -90,8 +90,9 @@ class TestEval:
         for x in (1e-12, np.array([0.5, 1e-9])):
             with pytest.raises(DriftDomainError, match="rounding"):
                 d(x)
-            with pytest.raises(DriftDomainError, match="rounding"):
-                d.jets(x)
+            for order in (1, 2):
+                with pytest.raises(DriftDomainError, match="rounding"):
+                    d.jets(x, order)
         f, f1, f2 = d.jets(1e-3)
         assert d(1e-3) == f
         assert f2 == pytest.approx(1.0 / 3.0, abs=1e-6)
@@ -100,6 +101,28 @@ class TestEval:
     def test_negative_base_fractional_power(self):
         with pytest.raises(DriftDomainError):
             parse_drift("x^0.5")(-1.0)
+
+    def test_zero_base_fractional_power(self):
+        # f' = inf at 0: the value stands, every derivative order refuses
+        d = parse_drift("x^0.5")
+        assert d(0.0) == 0.0
+        for order in (1, 2):
+            with pytest.raises(DriftDomainError, match="zero base"):
+                d.jets(0.0, order)
+        # a constant zero base is no domain question at any order
+        d = parse_drift("0^0.5 + x")
+        assert d(1.0) == 1.0
+        assert d.jets(1.0, 1) == (1.0, 1.0)
+        assert d.jets(1.0) == (1.0, 1.0, 0.0)
+
+    def test_orders_truncate(self):
+        d = parse_drift("2 + cos(x)")
+        xs = np.linspace(-3, 3, 11)
+        assert d.jets(0.5, 0) == (d(0.5),)
+        f, f1 = d.jets(xs, 1)
+        assert np.array_equal(f, d(xs)) and np.array_equal(f1, -np.sin(xs))
+        f, f1 = parse_drift("x + 1").jets(xs, 1)
+        assert f1.shape == xs.shape and np.all(f1 == 1.0)
 
     def test_array_evaluation(self):
         d = parse_drift("2 + cos(x)")
@@ -157,6 +180,26 @@ class TestValidateAssumption:
     def test_domain_error_reports_point(self):
         with pytest.raises(DriftDomainError, match="at x="):
             validate_assumption(parse_drift("1/x"), (-1, 1), 0.1, 3)
+
+    def test_failing_scan_is_bisected(self, monkeypatch):
+        # the first failing point comes from O(log n) array calls, not a
+        # retry of every point, and reads as a plain float
+        orders = []
+        jets = DriftExpr.jets
+
+        def spy(self, x, order=2):
+            orders.append(order)
+            return jets(self, x, order)
+
+        monkeypatch.setattr(DriftExpr, "jets", spy)
+        n = 10 ** 6
+        with pytest.raises(DriftDomainError) as exc:
+            validate_assumption(parse_drift("x/sin(x)"), (-1.0, 1e-12), 0.5, n)
+        assert str(exc.value) == ("quotient derivatives lost to rounding "
+                                  "at x=-3.100003000000573e-05")
+        assert len(orders) <= 2 * math.log2(n) + 2
+        # F'' is the bound scan's to read
+        assert set(orders) == {2}
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +281,31 @@ def test_canonical_roundtrip(ast):
                               allow_nan=False))
 @example(ast=("add", ("call", "exp", ("call", "exp", ("call", "exp", ("x",)))),
               ("num", 1.0)), x=2.0)  # f overflows to inf; inf + 1 is inf
+@example(ast=("pow", ("x",), 0.5), x=0.0)  # f = 0 stands; f' = inf refuses
+@example(ast=("add", ("pow", ("num", 0.0), 0.5), ("x",)), x=1.0)
+@example(ast=("div", ("x",), ("call", "sin", ("x",))), x=1e-12)
 def test_jet_value_is_the_plain_value(ast, x):
-    # plain numbers and jets run through the same operator table
+    # every order runs through the same rules: orders 1 and 2 agree bit for
+    # bit and refuse together, and refuse wherever the value does
     d = _make_expr(ast)
     for arg in (x, np.array([x, 0.5 * x])):
-        try:
-            plain = d(arg)
-        except DriftDomainError:
-            with pytest.raises(DriftDomainError):
-                d.jets(arg)
+        out = []
+        for call in (lambda: (d(arg),), lambda: d.jets(arg, 1),
+                     lambda: d.jets(arg)):
+            try:
+                out.append(call())
+            except DriftDomainError:
+                out.append(None)
+        plain, one, two = out
+        assert (one is None) == (two is None)
+        if two is None:
             continue
-        jet = d.jets(arg)[0]
-        assert np.array_equal(np.broadcast_to(plain, np.shape(arg)),
-                              np.broadcast_to(jet, np.shape(arg)),
-                              equal_nan=True)
+        assert plain is not None
+        assert np.array_equal(np.broadcast_to(plain[0], np.shape(arg)),
+                              two[0], equal_nan=True)
+        assert len(one) == 2
+        for a, b in zip(one, two):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 DEEP = {

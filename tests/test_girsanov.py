@@ -236,7 +236,7 @@ class TestLeadingTerm:
     @staticmethod
     def _mean_gaps(m, T, n_paths=1000, n_steps=4096):
         """E|D| and E|D - lead| over n_paths seeded paths on [0, T]."""
-        f0, f1, f2 = (float(v) for v in m.drift_jets(0.0))
+        f0, f1, f2 = (float(v) for v in m.drift.jets(m.alpha))
         paths = [BrownianPath.generate(T, n_steps, seed=i)
                  for i in range(n_paths)]
         b = np.array([p.cumulative() for p in paths])

@@ -230,7 +230,7 @@ def reference_kernel(kind, m, T, x, x_prime):
     if kind is KernelKind.EULER_MARUYAMA:
         fp = m.drift_at(xp)
         return norm * np.exp(-np.square(x - (xp + fp * T)) / (2.0 * T))
-    f, f1, _ = m.drift_jets(x)
+    f, f1 = m.drift_jets(x)
     return norm * np.exp(-np.square((x - f * T) - xp) / (2.0 * T) - f1 * T)
 
 
