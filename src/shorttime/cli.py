@@ -34,27 +34,13 @@ class ConfigError(Exception):
 
 _FLOAT = "%.17g"  # 17 significant digits: every float64 reads back exactly
 _BLOCK = 8192  # rows per `%` call in _write_csv
-# Cap on the n_points^2 cells of compose's kernel matrix, of which its band
-# keeps n_points x W: 5e7 cells is 12x the 2,001^2 of the pinned config.  It
-# caps density's grid.n_points x law.atoms kernel cells too.
-_MAX_DENSE_CELLS = 50_000_000
-# Cap on density's grid.n_points: 1e6 points, 800x the pinned 1,201, with
-# 4 x grid.n_points nodes for a kernel's mass defect.
-_MAX_GRID_POINTS = 1_000_000
-# Cap on n_time_steps x grid.n_points of a Fokker-Planck solve: 1e8 cell
-# updates take a few seconds, 16x the largest solve in the configs and tests
-# (3,001 points x 2,000 steps).
-_MAX_FP_WORK = 100_000_000
-# Cap on sample.n: 1e7 draws of 80 MB, 100x the 1e5 of the configs and bench.
-_MAX_SAMPLES = 10_000_000
-# Cap on sample.n x sample.n_steps of an Euler-Maruyama sample: 1e8 path
-# steps, 19x the 20,000 x 256 of the bench workload.
-_MAX_EM_STEPS = 100_000_000
-# Cap on validate's scan_points: 1e7 drift jets, 2,500x the configs' 4,001.
-_MAX_SCAN_POINTS = 10_000_000
-# Cap on mc.n_paths x mc.n_steps x horizons of a Monte Carlo pass: 2.5e10
-# path steps, 12x the 100,000 x 4,096 x 5 of configs/rate_study.json.
-_MAX_MC_STEPS = 25_000_000_000
+# The one budget of every command (_budget): _MAX_CELLS float64 values held
+# at once (400 MB) and _MAX_WORK units of work, a unit being one cell update
+# of about 18 ns (16 ns a point in a 2,001-point Crank-Nicolson step), so
+# minutes; a library call costs _CALL_WORK units (16 us: one path's EM step).
+_MAX_CELLS = 50_000_000
+_MAX_WORK = 25_000_000_000
+_CALL_WORK = 900
 
 
 def _require(cfg, key, default=None):
@@ -142,19 +128,23 @@ def _build_drift(cfg):
     return drift_mod.drift_from_config(dcfg)
 
 
-def _capped(value, key, cap):
-    """value, or ConfigError naming key when it is past cap."""
-    if value > cap:
-        raise ConfigError(f"{key!r} = {value} is past the cap of {cap}")
-    return value
+def _budget(keys, cells=0, work=0):
+    """ConfigError naming keys when a command would hold more than
+    _MAX_CELLS float64 values at once or do more than _MAX_WORK units."""
+    for amount, cap, what in ((cells, _MAX_CELLS, "cells held"),
+                              (work, _MAX_WORK, "work units")):
+        if amount > cap:  # %g of an int past the float range overflows
+            shown = f"{amount:.3g}" if amount < 1e300 else "over 1e300"
+            raise ConfigError(f"{keys}: {shown} {what}, past the cap of "
+                              f"{cap:.3g}")
 
 
 def _assumption(cfg, d):
     """The drift-positivity scan that validate and the epsilon gate share."""
     points = _num(cfg, "scan_points", 2001, count=True)
+    _budget("scan_points", cells=10 * points)  # jets: 7-12 values a point
     return drift_mod.validate_assumption(
-        d, _nums(cfg, "scan_range", n=2), _num(cfg, "epsilon"),
-        _capped(points, "scan_points", _MAX_SCAN_POINTS))
+        d, _nums(cfg, "scan_range", n=2), _num(cfg, "epsilon"), points)
 
 
 def _build_map(cfg):
@@ -234,9 +224,7 @@ def _cmd_density(cfg, out):
     m = _build_map(cfg)
     T = _num(cfg, "T")
     grid = _grid(cfg)
-    _capped(grid.n_points, "grid.n_points", _MAX_GRID_POINTS)
     kinds = _kinds(cfg)
-    defects = {}
     if "law" in cfg:
         atoms = _require(_require(cfg, "law"), "atoms")
         if not isinstance(atoms, list):
@@ -247,13 +235,15 @@ def _cmd_density(cfg, out):
                                    for e in atoms))
         except ValueError as exc:
             raise ConfigError(f"'law.atoms': {exc}") from None
-        _capped(grid.n_points * len(law.atoms), "grid.n_points x law.atoms",
-                _MAX_DENSE_CELLS)
-    else:  # one atom at x_prime, where the kernel's own mass defect is taken
-        xp = _num(cfg, "x_prime")
-        law = InitialLaw(((xp, 1.0),))
-        defects = {k.value: kernels.normalization_defect(k, m, T, xp, grid)
-                   for k in kinds}
+        # 14 values a point up to 8 atoms, 1.2 an atom past (tracemalloc)
+        keys, per_point = "grid.n_points x law.atoms", 16 + len(law.atoms)
+    else:  # one atom at x_prime, and the kernel's mass defect: 57 a point
+        law = InitialLaw(((_num(cfg, "x_prime"), 1.0),))
+        keys, per_point = "grid.n_points", 64
+    _budget(keys, cells=grid.n_points * per_point)
+    defects = {} if "law" in cfg else {
+        k.value: kernels.normalization_defect(k, m, T, law.atoms[0][0], grid)
+        for k in kinds}
     xs = grid.points()
     cols = [kernels.marginal_density(k, m, law, T, xs) for k in kinds]
     path = os.path.join(out, "density.csv")
@@ -261,23 +251,14 @@ def _cmd_density(cfg, out):
     return [path], {"mass_defect": defects, "T": T}
 
 
-def _fp_steps(cfg, grid):
-    """n_time_steps for a Fokker-Planck solve on grid, refused past
-    _MAX_FP_WORK cell updates before any work."""
-    steps = _num(cfg, "n_time_steps", 2000, count=True)
-    _capped(steps * grid.n_points, "n_time_steps x grid.n_points",
-            _MAX_FP_WORK)
-    return steps
-
-
 def _mc_config(cfg, n_horizons):
-    """The mc sub-object for a pass over n_horizons horizons, refused past
-    _MAX_MC_STEPS path steps before any path is drawn."""
+    """The mc sub-object for a pass over n_horizons horizons; its row
+    blocks hold girsanov._BLOCK_CELLS cells, so only its work counts."""
     mc = _require(cfg, "mc")
     n_paths = _num(mc, "n_paths", count=True)
     n_steps = _num(mc, "n_steps", count=True)
-    _capped(n_paths * n_steps * n_horizons,
-            "mc.n_paths x mc.n_steps x horizons", _MAX_MC_STEPS)
+    _budget("mc.n_paths x mc.n_steps x horizons",
+            work=n_paths * n_steps * n_horizons)
     return girsanov.MCConfig(n_paths=n_paths, n_steps=n_steps,
                              base_seed=_num(mc, "base_seed", count=True))
 
@@ -320,26 +301,26 @@ def _cmd_rate(cfg, out):
 
 def _cmd_compose(cfg, out):
     grid = _grid(cfg)
-    _capped(grid.n_points ** 2, "grid.n_points ^ 2", _MAX_DENSE_CELLS)
     kinds = _kinds(cfg)
     if len(kinds) != 1:
         raise ConfigError("compose takes one kernel 'kind', not 'all'")
     m = _build_map(cfg)
-    plan = CompositionPlan(
-        total_time=_num(cfg, "T"),
-        n_slices=_num(cfg, "n_slices", count=True),
-        grid=grid,
-        kind=kinds[0],
-    )
-    xp = _num(cfg, "x_prime")
-    oracle_steps = (_fp_steps(cfg, grid) if _flag(cfg, "compare_to_oracle")
-                    else None)
+    T, n, xp = _num(cfg, "T"), grid.n_points, _num(cfg, "x_prime")
+    n_slices = _num(cfg, "n_slices", count=True)
+    steps = (_num(cfg, "n_time_steps", 2000, count=True)
+             if _flag(cfg, "compare_to_oracle") else 0)
+    # a slice is a product with the band: W float64 and int32 cells a row
+    w = min(n, 1 + 2 * kernels._BAND_SIGMAS
+            * math.sqrt(abs(T) / max(n_slices, 1)) / grid.dx)
+    _budget("n_slices x grid.n_points" + " + n_time_steps" * bool(steps),
+            cells=1.5 * n * w, work=n_slices * (n * w + _CALL_WORK)
+            + steps * (n + _CALL_WORK))
+    plan = CompositionPlan(T, n_slices, grid, kinds[0])
     dens = evolution.compose_chapman(m, plan, xp)
     meta = {"mass": dens.mass(), "n_slices": plan.n_slices,
             "kind": plan.kind.value}
-    if oracle_steps is not None:
-        oracle = evolution.solve_fokker_planck(
-            m, plan.total_time, xp, grid, oracle_steps)
+    if steps:
+        oracle = evolution.solve_fokker_planck(m, T, xp, grid, steps)
         meta["distance_to_oracle"] = evolution.density_distance(
             dens, oracle, "L1")
     csv_path = os.path.join(out, "compose.csv")
@@ -352,7 +333,10 @@ def _cmd_compose(cfg, out):
 def _cmd_fp_solve(cfg, out):
     m = _build_map(cfg)
     grid = _grid(cfg)
-    steps = _fp_steps(cfg, grid)
+    steps = _num(cfg, "n_time_steps", 2000, count=True)
+    # a step is one tridiagonal solve; 16 values a point by tracemalloc
+    _budget("n_time_steps x grid.n_points", cells=16 * grid.n_points,
+            work=steps * (grid.n_points + _CALL_WORK))
     dens = evolution.solve_fokker_planck(
         m, _num(cfg, "T"), _num(cfg, "x_prime"), grid, steps)
     csv_path = os.path.join(out, "fp.csv")
@@ -368,20 +352,22 @@ def _cmd_sample(cfg, out):
     scfg = _require(cfg, "sample")
     T = _num(cfg, "T")
     xp = _num(cfg, "x_prime")
-    n = _capped(_num(scfg, "n", count=True), "sample.n", _MAX_SAMPLES)
+    n = _num(scfg, "n", count=True)
     seed = _num(scfg, "seed", cfg.get("seed", 0), count=True)
     scheme = scfg.get("scheme", "crypto")
     output = scfg.get("output", "summary")
     if output not in ("summary", "csv"):
         raise ConfigError(f"unknown sample output {output!r}")
-    if scheme == "crypto":
-        s = sampler.sample_crypto(m, xp, T, n, seed)
-    elif scheme == "euler_maruyama_path":
-        steps = _num(scfg, "n_steps", count=True)
-        _capped(n * steps, "sample.n x sample.n_steps", _MAX_EM_STEPS)
-        s = sampler.sample_em_path(m, xp, T, steps, n, seed)
-    else:
+    if scheme not in ("crypto", "euler_maruyama_path"):
         raise ConfigError(f"unknown sampling scheme {scheme!r}")
+    em = scheme != "crypto"
+    steps = _num(scfg, "n_steps", count=True) if em else 0
+    # a summary holds 15 values a sample by tracemalloc, a CSV 2; an
+    # Euler-Maruyama step is one drift call per RNG chunk of samples
+    _budget("sample.n x sample.n_steps" if em else "sample.n", cells=16 * n,
+            work=steps * (n + -(-n // sampler._CHUNK) * _CALL_WORK))
+    s = (sampler.sample_em_path(m, xp, T, steps, n, seed) if em
+         else sampler.sample_crypto(m, xp, T, n, seed))
     meta = {"scheme": scheme, "n": n, "seed": seed}
     if output == "csv":
         path = os.path.join(out, "samples.csv")
@@ -439,6 +425,16 @@ def _fail(code, kind, exc, **extra):
     return code
 
 
+def _module(exc):
+    """The module of exc's type if shorttime defines it, else that of the
+    innermost shorttime frame exc passed: where a ValueError was raised."""
+    from traceback import walk_tb
+    names = [type(exc).__module__] + [f.f_globals.get("__name__", "") for f, _
+                                      in walk_tb(exc.__traceback__)][::-1]
+    return next((n for n in names if n.startswith("shorttime.")),
+                names[0]).rsplit(".", 1)[-1]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="shorttime",
@@ -468,8 +464,7 @@ def main(argv=None):
     except (ConfigError, KeyError, TypeError) as exc:
         return _fail(2, "config", exc)
     except _DOMAIN_ERRORS + (ValueError,) as exc:
-        return _fail(1, "domain", exc,
-                     module=type(exc).__module__.rsplit(".", 1)[-1])
+        return _fail(1, "domain", exc, module=_module(exc))
     except MemoryError as exc:  # last resort: a size the host cannot hold
         return _fail(1, "resource", exc)
     print(json.dumps(manifest, sort_keys=True))

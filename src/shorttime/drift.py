@@ -190,7 +190,10 @@ class _Parser:
             exponent = self.factor()
             if _contains_x(exponent):
                 raise DriftParseError("exponent must be constant", tok[2])
-            return ("pow", base, float(_taylor(exponent, 0.0, 0)[0]))
+            n = float(_taylor(exponent, 0.0, 0)[0])
+            if not math.isfinite(n):
+                raise DriftParseError("exponent must be finite", tok[2])
+            return ("pow", base, n)
         return base
 
     def atom(self):

@@ -50,6 +50,8 @@ class CompositionPlan:
         _check_horizon(self.total_time)
         if self.n_slices < 1:
             raise ValueError("need at least one slice")
+        if self.grid.dx > math.sqrt(self.tau):
+            raise ValueError("grid too coarse for the slice kernel")
 
     @property
     def tau(self):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -689,6 +690,23 @@ class TestDeepDrift:
         assert payload["error"]["module"] == "drift"
         assert "nested deeper" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("expr", ["2 + x^1e400", "x^(0*1e400)"],
+                             ids=["inf", "nan"])
+    def test_non_finite_exponent(self, expr, tmp_path):
+        # run as a process: a traceback would show on its stderr
+        cfg = write_cfg(tmp_path, "c.json", {
+            "drift": {"expr": expr}, "scan_range": [-1, 1], "epsilon": 0.5,
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "shorttime.cli", "validate", "--config",
+             cfg, "--out-dir", str(tmp_path)],
+            env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["module"] == "drift"
+        assert "exponent must be finite" in error["message"]
+
 
 def _reference_csv(header, columns):
     """The bytes of the row-wise writer that _write_csv replaced."""
@@ -866,9 +884,23 @@ class TestMemoryError:
         ("rate", {"drift": COS, "T_grid": [0.2, 0.1, 0.05], "mc": {
             "n_paths": 2_500_000_000, "n_steps": 4, "base_seed": 1}},
          "mc.n_paths"),
+        # 1e9 slices of a few cells each: their library calls are the work
+        ("compose", {"drift": COS, "T": 0.2, "x_prime": 0.0,
+                     "n_slices": 1_000_000_000,
+                     "grid": {"x_min": -3.0, "x_max": 6.0, "n_points": 301}},
+         "n_slices"),
+        ("fp-solve", {"drift": COS, "T": 1.0, "x_prime": 0.0,
+                      "n_time_steps": 33_000_000,
+                      "grid": {"x_min": -0.02, "x_max": 0.02, "n_points": 3}},
+         "n_time_steps"),
+        ("sample", {"drift": COS, "T": 0.1, "x_prime": 0.0,
+                    "sample": {"n": 1, "n_steps": 100_000_000, "seed": 1,
+                               "scheme": "euler_maruyama_path"}},
+         "sample.n_steps"),
     ], ids=["sample-n", "sample-em-steps", "validate-scan-points",
             "density-n-points", "density-law-cells", "girsanov-error-mc",
-            "rate-mc"])
+            "rate-mc", "compose-slices", "fp-solve-3-points",
+            "sample-em-one-path"])
     def test_size_caps(self, command, cfg, key, tmp_path):
         # each would run for hours or past the memory cap: refused before
         # any allocation, well inside the wall-time bound
@@ -878,6 +910,104 @@ class TestMemoryError:
         assert error["kind"] == "config"
         assert key in error["message"]
         assert not any((tmp_path / "out").iterdir())
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(_ROOT, "bench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _config_ops():
+    """(command, config) of every configs/*.json."""
+    ops = []
+    for name in sorted(os.listdir(os.path.join(_ROOT, "configs"))):
+        with open(os.path.join(_ROOT, "configs", name)) as fh:
+            cfg = json.load(fh)
+        ops.append((cfg["command"], cfg))
+    return ops
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestBudgetHeadroom:
+    """Every op of every pinned config, and of one full-size cycle of each
+    benchmark workload, sits at least 10x inside both caps of the budget.
+    _budget is replaced by a recorder that stops the op at its first call,
+    so no op does its work."""
+
+    @staticmethod
+    def _budgets(monkeypatch, tmp_path, ops):
+        seen = []
+
+        def record(keys, cells=0, work=0):
+            seen.append((keys, cells, work))
+            raise _Stop
+
+        monkeypatch.setattr(cli, "_budget", record)
+        for command, cfg in ops:
+            if command == "flow":  # its sizes are the config's own list
+                continue
+            with pytest.raises(_Stop):
+                cli.run_command(command, cfg, str(tmp_path))
+        return seen
+
+    def _check(self, seen, n_ops):
+        assert len(seen) == n_ops
+        for keys, cells, work in seen:
+            assert 10 * cells <= cli._MAX_CELLS, keys
+            assert 10 * work <= cli._MAX_WORK, keys
+
+    def test_configs(self, monkeypatch, tmp_path):
+        ops = _config_ops()
+        self._check(self._budgets(monkeypatch, tmp_path, ops),
+                    sum(c != "flow" for c, _ in ops))
+
+    @pytest.mark.parametrize("workload", ["mc_rate", "grid_density",
+                                          "scatter_sample"])
+    def test_bench_cycle(self, workload, monkeypatch, tmp_path):
+        ops = _bench_workloads().cycle(workload, 424242, 0)
+        self._check(self._budgets(monkeypatch, tmp_path, ops), len(ops))
+
+    def test_every_command_but_flow_is_budgeted(self, monkeypatch, tmp_path):
+        ops = sorted(TestConfigNumbers.BASE.items())
+        seen = self._budgets(monkeypatch, tmp_path, ops)
+        assert len(seen) == len(ops) - 1
+
+
+class TestErrorModule:
+    """A library precondition error names the shorttime module that raised
+    it, not the builtins module of ValueError."""
+
+    @pytest.mark.parametrize("command,changes,module", [
+        ("density", {"T": -1.0}, "lamperti"),
+        ("fp-solve", {"n_time_steps": 0}, "evolution"),
+        ("compose", {"n_slices": 0}, "evolution"),
+        ("density", {"grid": {"x_min": 1.0, "x_max": -1.0, "n_points": 11}},
+         "kernels"),
+        ("girsanov-error", {"mc": {"n_paths": 1, "n_steps": 4,
+                                   "base_seed": 1}}, "girsanov"),
+        # a slice kernel narrower than the grid step: refused, not summed
+        ("compose", {"n_slices": 1000}, "evolution"),
+    ], ids=["density-T", "fp-solve-steps", "compose-slices", "grid-range",
+            "mc-paths", "compose-coarse-grid"])
+    def test_names_the_raising_module(self, command, changes, module,
+                                      tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json",
+                        dict(TestConfigNumbers.BASE[command], **changes))
+        code, payload = run(capsys, command, "--config", cfg,
+                            "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert payload["error"]["kind"] == "domain"
+        assert payload["error"]["module"] == module
 
 
 # Runs cli.main on each argv list of a JSON list in a fresh interpreter and

@@ -54,6 +54,12 @@ class TestParse:
         with pytest.raises(DriftParseError, match="constant"):
             parse_drift("2^x")
 
+    @pytest.mark.parametrize("text", ["2 + x^1e400", "x^(0*1e400)"],
+                             ids=["inf", "nan"])
+    def test_non_finite_exponent_rejected(self, text):
+        with pytest.raises(DriftParseError, match="exponent must be finite"):
+            parse_drift(text)
+
     def test_trailing_garbage(self):
         with pytest.raises(DriftParseError):
             parse_drift("x + 1 )")

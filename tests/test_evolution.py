@@ -131,6 +131,12 @@ class TestComposeChapman:
         with pytest.raises(ValueError):
             CompositionPlan(total_time=0.1, n_slices=0, grid=g,
                             kind=KernelKind.GIRSANOV)
+        # a grid step past sqrt(tau) = 0.0141 (dx = 0.03; sqrt(tau) is 0.082
+        # at 30 slices, which run)
+        with pytest.raises(ValueError, match="too coarse"):
+            CompositionPlan(total_time=0.2, n_slices=1000,
+                            grid=GridSpec(-3.0, 6.0, 301),
+                            kind=KernelKind.GIRSANOV)
 
 
 def dense_compose(m, plan, x_prime):
