@@ -4,7 +4,9 @@ The drift f(x) is supplied as a small expression over the single variable x
 with +, -, *, /, ^ (constant exponent only) and the functions sin, cos, exp,
 tanh.  One evaluator serves plain floats and numpy arrays at orders 0, 1 and
 2, so f, (f, f') or (f, f', f'') come out of a single pass with no finite
-differencing, and no order is computed that was not asked for.
+differencing, and no order is computed that was not asked for.  It runs once
+per order, at the order's first use, recording its ufunc calls into a
+program that each call runs in buffers of its own.
 """
 
 from __future__ import annotations
@@ -34,12 +36,15 @@ class DriftDomainError(DriftError):
 
 _FUNCTIONS = ("sin", "cos", "exp", "tanh")
 _EPS = np.finfo(float).eps
-_MAX_DEPTH = 100  # AST nesting, far inside the recursive evaluator's stack
+_MAX_DEPTH = 100  # AST nesting, far inside the recursive emitter's stack
 
 
 # ---------------------------------------------------------------------------
 # Truncated Taylor arithmetic: a node evaluates to (f, f', f'')[:k + 1], the
 # components scalars or numpy arrays, each order computed only if asked for.
+# _taylor runs once per order of a DriftExpr, on a stand-in for x (_Reg) that
+# records the ufunc calls into a _Program; on constants it computes, as it
+# does for the constant exponent of a power.
 
 # each function's g, g' = d1(v, g) and g'' = d2(v, g, g') at its argument v
 _CALLS = {
@@ -62,10 +67,31 @@ def _chain(u, g, d1, d2):
     return g0, g1 * u[1], d2(u[0], g0, g1) * u[1] * u[1] + g1 * u[2]
 
 
+def _any_zero(v):
+    return np.any(v == 0.0)
+
+
+def _any_negative(v):
+    return np.any(v < 0.0)
+
+
+def _any_lost(e1, bound1, e2, bound2):
+    return np.any((e1 > bound1) | (e2 > bound2))
+
+
+def _refuse(message, test, *args):
+    """DriftDomainError(message) where test(*args) holds: at once for
+    constants, else from the program, in its place among the ufunc calls."""
+    reg = next((a for a in args if isinstance(a, _Reg)), None)
+    if reg is not None:
+        reg.code.append((test, args, message))
+    elif test(*args):
+        raise DriftDomainError(message)
+
+
 def _div(a, b):
     """a / b to the order of a and b."""
-    if np.any(b[0] == 0.0):
-        raise DriftDomainError("division by zero")
+    _refuse("division by zero", _any_zero, b[0])
     q = (a[0] / b[0],)
     if len(a) > 1:
         q += ((a[1] - q[0] * b[1]) / b[0],)
@@ -78,9 +104,8 @@ def _div(a, b):
         # divisor the check never fires
         e1 = _EPS * (abs(a[1]) + 2.0 * abs(q[0] * b[1])) / abs(b[0])
         e2 = 2.0 * e1 * abs(b[1] / b[0])
-        if np.any((e1 > 1e-6 * (1.0 + abs(q[1])))
-                  | (e2 > 1e-6 * (1.0 + abs(q[2])))):
-            raise DriftDomainError("quotient derivatives lost to rounding")
+        _refuse("quotient derivatives lost to rounding", _any_lost,
+                e1, 1e-6 * (1.0 + abs(q[1])), e2, 1e-6 * (1.0 + abs(q[2])))
     return q
 
 
@@ -246,7 +271,7 @@ def _has_x_divisor(node):
 
 
 def _taylor(node, x, k):
-    """(f, f', f'')[:k + 1] of node at x, a float or an array."""
+    """(f, f', f'')[:k + 1] of node at x: a float, an array or a _Reg."""
     kind = node[0]
     if kind == "num":
         return (node[1], 0.0, 0.0)[:k + 1]
@@ -263,10 +288,11 @@ def _taylor(node, x, k):
         return _chain(_taylor(node[2], x, k), *_CALLS[node[1]])
     if kind == "pow":
         u, n = _taylor(node[1], x, k), node[2]
-        if n != int(n) and np.any(u[0] < 0.0):
-            raise DriftDomainError("negative base with non-integer exponent")
-        if k and n < 1 and np.any(u[0] == 0.0):
-            raise DriftDomainError("zero base with exponent below 1")
+        if n != int(n):
+            _refuse("negative base with non-integer exponent", _any_negative,
+                    u[0])
+        if k and n < 1:
+            _refuse("zero base with exponent below 1", _any_zero, u[0])
         return _chain(
             u, lambda v: np.power(v, n),
             lambda v, g: n * np.power(v, n - 1) if n != 0 else 0.0,
@@ -287,6 +313,117 @@ def _taylor(node, x, k):
     if kind == "div":
         return _div(a, b)
     raise AssertionError(f"unknown node {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs: the ufunc calls of _taylor, each writing into a buffer
+# of the call's own.
+
+class _Reg(np.lib.mixins.NDArrayOperatorsMixin):
+    """A value of x in a program being recorded: a ufunc applied to it (by
+    Python's operators too, operands in their order) appends
+    (ufunc, operands, result) to code and returns the result's _Reg."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        assert method == "__call__" and not kwargs
+        out = _Reg(self.code)
+        self.code.append((ufunc, inputs, out))
+        return out
+
+
+def _always(*args):
+    return True
+
+
+# the ufuncs that Python's operators call on arrays, and those operators,
+# which a scalar x runs as numbers do
+_OPERATORS = {np.add: operator.add, np.subtract: operator.sub,
+              np.multiply: operator.mul, np.divide: operator.truediv,
+              np.negative: operator.neg, np.absolute: operator.abs}
+
+
+class _Program:
+    """(f, f', f'')[:k + 1] of an AST at shift + x as a straight-line
+    program: the ufunc calls that _taylor makes on an array x, on the same
+    operands and in the same order, so each result has the same bits (a
+    scalar x runs Python's operators where _taylor used them, as it did).
+    Domain checks run in their place among them; one that fails on
+    constants alone (1/0 + x) ends the program.  Calls whose results go
+    unread are dropped, and constants are folded once, here.
+
+    A run owns its buffers, each of x's shape: a result overwrites an
+    operand read for the last time, so a chain of unary or constant-operand
+    calls runs in place, and a new buffer is taken only while two values of
+    x are live at once.  x itself is never written."""
+
+    def __init__(self, ast, k, shift):
+        code = []
+        x = _Reg(code)
+        try:
+            with np.errstate(all="ignore"):  # warnings of the folds
+                outs = _taylor(ast, x if shift is None else shift + x, k)
+        except DriftDomainError as exc:
+            code.append((_always, (), str(exc)))
+            outs = ()
+        # keep the checks and what they or the results read
+        live = {id(v) for v in outs}
+        kept = []
+        for f, args, out in reversed(code):
+            if isinstance(out, _Reg) and id(out) not in live:
+                continue
+            kept.append((f, args, out))
+            live.update(id(a) for a in args)
+        kept.reverse()
+        last = {}
+        for i, (f, args, out) in enumerate(kept):
+            last.update((id(a), i) for a in args)
+        last.update((id(v), len(kept)) for v in outs)
+        # slots: the constants, then x, then the buffers
+        consts = [a for _, args, _ in kept for a in args
+                  if not isinstance(a, _Reg)]
+        consts += [v for v in outs if not isinstance(v, _Reg)]
+        slot = {id(c): i for i, c in enumerate(consts)}
+        slot[id(x)] = len(consts)
+        free, n_slots, self._code = [], len(consts) + 1, []
+        for i, (f, args, out) in enumerate(kept):
+            ins = tuple(slot[id(a)] for a in args)
+            for a, s in zip(args, ins):  # a buffer read for the last time
+                if s > len(consts) and last[id(a)] == i and s not in free:
+                    free.append(s)
+            if isinstance(out, _Reg):
+                if not free:
+                    free.append(n_slots)
+                    n_slots += 1
+                slot[id(out)] = out = free.pop()
+            self._code.append((f, _OPERATORS.get(f, f), ins, out))
+        self._consts = consts
+        self._n_buffers = n_slots - len(consts) - 1
+        self._outs = tuple(slot[id(v)] for v in outs)
+        code.clear()  # each _Reg holds code: no cycle left for the collector
+
+    def __call__(self, x):
+        """The results at x: for an array, each a buffer of x's shape, a
+        constant, or x itself; for a scalar, the numbers _taylor gives."""
+        scalar = np.ndim(x) == 0
+        if scalar:
+            regs = [*self._consts, x] + [None] * self._n_buffers
+        else:
+            x = np.asarray(x, dtype=float)
+            regs = [*self._consts, x]
+            regs += [np.empty_like(x) for _ in range(self._n_buffers)]
+        for f, op, ins, out in self._code:
+            args = [regs[i] for i in ins]
+            if type(out) is not int:
+                if f(*args):
+                    raise DriftDomainError(out)
+            elif scalar:
+                regs[out] = op(*args)
+            else:
+                f(*args, out=regs[out])
+        return [regs[i] for i in self._outs]
 
 
 def _print_ast(node):
@@ -317,15 +454,25 @@ class DriftExpr:
 
     ast: tuple
     source_text: str
+    # if set, the drift is read at _shift + x, the programs' first call
+    _shift: float | None = field(default=None, repr=False)
     # a divisor in x: every order runs at 2, so that values and (f, f') fail
     # where f'' does (see _div)
     _x_divisor: bool = field(init=False, repr=False, compare=False)
+    # the program of each order run so far, compiled at its first use (a map
+    # runs orders 0 and 1, validate_assumption order 2); threads that
+    # compile one order at once build equal programs, and either is kept
+    _programs: dict = field(init=False, repr=False, compare=False,
+                            default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "_x_divisor", _has_x_divisor(self.ast))
 
     def _eval(self, x, k):
-        return _taylor(self.ast, x, 2 if self._x_divisor else k)[:k + 1]
+        order = 2 if self._x_divisor else k
+        if order not in self._programs:
+            self._programs[order] = _Program(self.ast, order, self._shift)
+        return self._programs[order](x)[:k + 1]
 
     def __call__(self, x):
         """f at x (scalar or array)."""

@@ -7,6 +7,7 @@ Lambda^{-1}(Lambda(.) +/- t), which is invariant under that normalization.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -115,6 +116,8 @@ class LampertiMap:
         self.reference_point = float(reference_point)
         self.is_constant = drift.is_constant
         self._const = float(drift(0.0)) if self.is_constant else None
+        # F itself: the drift's programs, alpha added by their first call
+        self._shifted = dataclasses.replace(drift, _shift=self.alpha)
         # lattice knots j0..j1 (the reference is knot 0), split into cells
         self._table = SimpleNamespace(j0=0, j1=0, x=np.array([
             self.reference_point]), y=np.zeros(1))
@@ -122,14 +125,17 @@ class LampertiMap:
     # -- effective drift ----------------------------------------------------
 
     def drift_at(self, x):
-        """F(x) as a float array of x's shape (0-d for a scalar x)."""
+        """F(x) as a float array of x's shape (0-d for a scalar x): a buffer
+        of the call's own, but for a constant drift its value broadcast."""
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(
-            np.asarray(self.drift(self.alpha + x), dtype=float), x.shape)
+        f = self._shifted(x)
+        if self.is_constant:
+            return np.broadcast_to(np.asarray(f, dtype=float), x.shape)
+        return np.asarray(f)
 
     def drift_jets(self, x):
-        """(F, F') of the shifted drift at x, from one order-1 pass."""
-        return self.drift.jets(self.alpha + np.asarray(x, dtype=float), 1)
+        """(F, F') at x, from one order-1 pass."""
+        return self._shifted.jets(np.asarray(x, dtype=float), 1)
 
     def _inv_drift(self, x, f):
         """1/f, f = F(x); LampertiError where it is not positive and finite."""

@@ -1,10 +1,12 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
+from shorttime import LampertiMap
 from shorttime import drift as dmod
 from shorttime.drift import (
     DriftDomainError,
@@ -312,6 +314,165 @@ def test_jet_value_is_the_plain_value(ast, x):
         assert len(one) == 2
         for a, b in zip(one, two):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the compiled programs against the recursive evaluator
+# that they replaced, kept here as the reference.
+
+_REF_CALLS = {
+    "sin": (np.sin, lambda v, g: np.cos(v), lambda v, g, g1: -g),
+    "cos": (np.cos, lambda v, g: -np.sin(v), lambda v, g, g1: -g),
+    "exp": (np.exp, lambda v, g: g, lambda v, g, g1: g),
+    "tanh": (np.tanh, lambda v, g: 1.0 - g * g,
+             lambda v, g, g1: -2.0 * g * g1),
+}
+
+
+def _ref_chain(u, g, d1, d2):
+    g0 = g(u[0])
+    if len(u) == 1:
+        return (g0,)
+    g1 = d1(u[0], g0)
+    if len(u) == 2:
+        return g0, g1 * u[1]
+    return g0, g1 * u[1], d2(u[0], g0, g1) * u[1] * u[1] + g1 * u[2]
+
+
+def _ref_div(a, b):
+    if np.any(b[0] == 0.0):
+        raise DriftDomainError("division by zero")
+    q = (a[0] / b[0],)
+    if len(a) > 1:
+        q += ((a[1] - q[0] * b[1]) / b[0],)
+    if len(a) > 2:
+        q += ((a[2] - 2.0 * q[1] * b[1] - q[0] * b[2]) / b[0],)
+        e1 = dmod._EPS * (abs(a[1]) + 2.0 * abs(q[0] * b[1])) / abs(b[0])
+        e2 = 2.0 * e1 * abs(b[1] / b[0])
+        if np.any((e1 > 1e-6 * (1.0 + abs(q[1])))
+                  | (e2 > 1e-6 * (1.0 + abs(q[2])))):
+            raise DriftDomainError("quotient derivatives lost to rounding")
+    return q
+
+
+def _ref_taylor(node, x, k):
+    kind = node[0]
+    if kind == "num":
+        return (node[1], 0.0, 0.0)[:k + 1]
+    if kind == "x":
+        return (x, 1.0, 0.0)[:k + 1]
+    if k and not dmod._contains_x(node):
+        return (_ref_taylor(node, x, 0)[0], 0.0, 0.0)[:k + 1]
+    if kind == "neg":
+        return tuple(-c for c in _ref_taylor(node[1], x, k))
+    if kind == "call":
+        return _ref_chain(_ref_taylor(node[2], x, k), *_REF_CALLS[node[1]])
+    if kind == "pow":
+        u, n = _ref_taylor(node[1], x, k), node[2]
+        if n != int(n) and np.any(u[0] < 0.0):
+            raise DriftDomainError("negative base with non-integer exponent")
+        if k and n < 1 and np.any(u[0] == 0.0):
+            raise DriftDomainError("zero base with exponent below 1")
+        return _ref_chain(
+            u, lambda v: np.power(v, n),
+            lambda v, g: n * np.power(v, n - 1) if n != 0 else 0.0,
+            lambda v, g, g1:
+                n * (n - 1) * np.power(v, n - 2) if n not in (0, 1) else 0.0)
+    a, b = _ref_taylor(node[1], x, k), _ref_taylor(node[2], x, k)
+    if kind == "add":
+        return tuple(map(operator.add, a, b))
+    if kind == "sub":
+        return tuple(map(operator.sub, a, b))
+    if kind == "mul":
+        out = (a[0] * b[0],)
+        if k:
+            out += (a[1] * b[0] + a[0] * b[1],)
+        if k > 1:
+            out += (a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2],)
+        return out
+    if kind == "div":
+        return _ref_div(a, b)
+    raise AssertionError(f"unknown node {kind!r}")
+
+
+def _ref_eval(ast, x, k):
+    """The reference DriftExpr at order k: order 2 for a divisor in x."""
+    return _ref_taylor(ast, x, 2 if dmod._has_x_divisor(ast) else k)[:k + 1]
+
+
+def _ref_jets(ast, x, k):
+    shape = np.shape(x)
+    return tuple(c if np.shape(c) == shape else np.full(shape, c)
+                 for c in _ref_eval(ast, x, k))
+
+
+def _outcome(call):
+    """The values of call(), or its DriftDomainError's message."""
+    try:
+        return call()
+    except DriftDomainError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want):
+    """Both raised the same message, or gave values of the same types,
+    shapes and bits (NaNs' too)."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+_SPECIAL = [0.0, -0.0, 1e-12, -1e-12, 0.5, -2.0, math.inf, -math.inf,
+            math.nan]
+_leaf_any = hs.one_of(_literal, hs.just(("num", 0.0)), hs.just(("x",)))
+
+
+def _extend_any(children):
+    return hs.one_of(
+        _extend(children),
+        hs.tuples(hs.just("pow"), children,
+                  hs.sampled_from([0.0, 1.0, 0.5, -1.0, -1.5, 2.5])),
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ast=hs.recursive(_leaf_any, _extend_any, max_leaves=8),
+       x=hs.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+@example(ast=("add", ("pow", ("num", 0.0), 0.5), ("x",)), x=1.0)
+@example(ast=("add", ("div", ("num", 1.0), ("num", 0.0)), ("x",)), x=1.0)
+@example(ast=("div", ("x",), ("call", "sin", ("x",))), x=1e-3)
+@example(ast=("add", ("num", 2.0), ("mul", ("call", "sin", ("x",)),
+                                    ("call", "cos", ("x",)))), x=0.7)
+def test_programs_match_the_recursive_evaluator(ast, x):
+    # every order, at scalars, a 1-D array and a non-contiguous 2-D view,
+    # directly and through a map's shift: the same bits, or the same error
+    d = _make_expr(ast)
+    points = np.array(_SPECIAL + [x])
+    b = np.tile(np.append(points, 7.0), (3, 1))
+    for arg in (x, 0.0, -0.0, math.inf, math.nan, points, b[:, :-1]):
+        _assert_same(_outcome(lambda: (d(arg),)),
+                     _outcome(lambda: _ref_eval(ast, arg, 0)))
+        for k in (0, 1, 2):
+            _assert_same(_outcome(lambda: d.jets(arg, k)),
+                         _outcome(lambda: _ref_jets(ast, arg, k)))
+    m = _outcome(lambda: LampertiMap(d, alpha=0.3))
+    if isinstance(m, str):  # a constant drift that fails at every point
+        assert d.is_constant and _outcome(lambda: d(0.0)) == m
+        return
+    for arg in (np.asarray(x), points, b[:, :-1]):
+        shifted = 0.3 + arg
+        _assert_same(
+            _outcome(lambda: (m.drift_at(arg),)),
+            _outcome(lambda: (np.broadcast_to(np.asarray(
+                _ref_eval(ast, shifted, 0)[0], dtype=float), arg.shape),)))
+        _assert_same(_outcome(lambda: m.drift_jets(arg)),
+                     _outcome(lambda: _ref_jets(ast, shifted, 1)))
 
 
 DEEP = {

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,28 @@ class TestTransport:
             assert m.drift_at(np.zeros((2, 3))).shape == (2, 3)
             assert m.drift_at(0.0).shape == ()
             assert m.drift_at(0.0).dtype == float
+
+    @pytest.mark.parametrize("text, blocks", [
+        ("2 + cos(x)", 1), ("0.1 + tanh(x)^2", 1),  # logistic_floor
+        # both operands of the product depend on x: one more buffer
+        ("2 + sin(x)*cos(x)", 2)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_drift_at_peaks_at_its_buffers(self, text, blocks, alpha):
+        # one Monte Carlo row block of left points: the shift and every call
+        # after it write into the buffers the result leaves in, plus slack
+        # for numpy's 8,192-element iteration buffer of the strided view
+        m = LampertiMap(parse_drift(text), alpha=alpha)
+        b = np.zeros((16, 4097))
+        m.drift_at(b[:, :-1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            f = m.drift_at(b[:, :-1])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (16, 4096) and f.flags.writeable
+        assert blocks * f.nbytes <= peak <= blocks * f.nbytes + (96 << 10)
 
 
 # Runs one flow call in a fresh interpreter whose own address space is capped
