@@ -142,7 +142,8 @@ def _budget(keys, cells=0, work=0):
 def _assumption(cfg, d):
     """The drift-positivity scan that validate and the epsilon gate share."""
     points = _num(cfg, "scan_points", 2001, count=True)
-    _budget("scan_points", cells=10 * points)  # jets: 7-12 values a point
+    # the linspace, and the jets of one block: 1.5-2 values a point at 1e6
+    _budget("scan_points", cells=3 * points)
     return drift_mod.validate_assumption(
         d, _nums(cfg, "scan_range", n=2), _num(cfg, "epsilon"), points)
 
@@ -182,12 +183,18 @@ def _kinds(cfg):
 
 
 def _write_csv(path, header, *columns):
-    """CSV of equal-length float columns, one `%` format per block of rows."""
-    table = np.column_stack(columns)
-    row = ",".join([_FLOAT] * table.shape[1]) + "\n"
+    """CSV of equal-length float columns, one `%` format per block of rows,
+    each block stacked from the columns on its own."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns of {sorted({len(c) for c in columns})} "
+                         "rows, not one length")
+    row = ",".join([_FLOAT] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for block in np.split(table, range(_BLOCK, len(table), _BLOCK)):
+        for r in range(0, n, _BLOCK):
+            block = np.column_stack([c[r:r + _BLOCK] for c in columns])
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -235,11 +242,11 @@ def _cmd_density(cfg, out):
                                    for e in atoms))
         except ValueError as exc:
             raise ConfigError(f"'law.atoms': {exc}") from None
-        # 14 values a point up to 8 atoms, 1.2 an atom past (tracemalloc)
-        keys, per_point = "grid.n_points x law.atoms", 16 + len(law.atoms)
-    else:  # one atom at x_prime, and the kernel's mass defect: 57 a point
+        # 8 values a point and 1 an atom for kind all (tracemalloc)
+        keys, per_point = "grid.n_points x law.atoms", 9 + len(law.atoms)
+    else:  # one atom at x_prime, and the kernel's mass defect: 9 a point
         law = InitialLaw(((_num(cfg, "x_prime"), 1.0),))
-        keys, per_point = "grid.n_points", 64
+        keys, per_point = "grid.n_points", 10
     _budget(keys, cells=grid.n_points * per_point)
     defects = {} if "law" in cfg else {
         k.value: kernels.normalization_defect(k, m, T, law.atoms[0][0], grid)
@@ -362,9 +369,9 @@ def _cmd_sample(cfg, out):
         raise ConfigError(f"unknown sampling scheme {scheme!r}")
     em = scheme != "crypto"
     steps = _num(scfg, "n_steps", count=True) if em else 0
-    # a summary holds 15 values a sample by tracemalloc, a CSV 2; an
+    # a summary holds 7.1 values a sample by tracemalloc, a CSV 2; an
     # Euler-Maruyama step is one drift call per RNG chunk of samples
-    _budget("sample.n x sample.n_steps" if em else "sample.n", cells=16 * n,
+    _budget("sample.n x sample.n_steps" if em else "sample.n", cells=8 * n,
             work=steps * (n + -(-n // sampler._CHUNK) * _CALL_WORK))
     s = (sampler.sample_em_path(m, xp, T, steps, n, seed) if em
          else sampler.sample_crypto(m, xp, T, n, seed))

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import _BLOCK_CELLS
+
 
 class DriftError(Exception):
     """Base class for drift-expression failures."""
@@ -368,8 +370,26 @@ class _Program:
         except DriftDomainError as exc:
             code.append((_always, (), str(exc)))
             outs = ()
+        # an exact identity (a * 1.0) reads a, and a repeated call reads the
+        # first one's result; a value of the program keeps its own call, so
+        # no two values share a buffer
+        values, same, first = {id(v) for v in outs}, {}, {}
+        for i, (f, args, out) in enumerate(code):
+            args = tuple(same.get(id(a), a) for a in args)
+            code[i] = (f, args, out)
+            if not isinstance(out, _Reg) or id(out) in values:
+                continue
+            reg = [a for a in args if isinstance(a, _Reg)]
+            if f is np.multiply and len(reg) == 1 and any(
+                    type(a) is float and a == 1.0 for a in args):
+                same[id(out)] = reg[0]
+                continue
+            key = (f,) + tuple(id(a) if isinstance(a, _Reg)
+                               else (type(a), np.float64(a).tobytes())
+                               for a in args)
+            same[id(out)] = first.setdefault(key, out)
         # keep the checks and what they or the results read
-        live = {id(v) for v in outs}
+        live = set(values)
         kept = []
         for f, args, out in reversed(code):
             if isinstance(out, _Reg) and id(out) not in live:
@@ -557,31 +577,39 @@ def validate_assumption(d, scan_range, epsilon, n):
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     xs = np.linspace(lo, hi, n)
-    try:
-        f, f1, f2 = d.jets(xs)
-    except DriftDomainError:
-        # bisect for the first point where evaluation breaks down: a slice
-        # fails iff one of its points does, so xs[i:j] always holds it
-        i, j = 0, n
-        while j - i > 1:
-            mid = (i + j) // 2
-            try:
-                d.jets(xs[i:mid])
-                i = mid
-            except DriftDomainError:
-                j = mid
-        x = float(xs[i])
+    # per block of _BLOCK_CELLS points: min f, max f, max |f'|, max |f''|,
+    # so the jets' buffers hold a block, whatever the expression's size
+    ends = []
+    for b in range(0, n, _BLOCK_CELLS):
+        block = xs[b:b + _BLOCK_CELLS]
         try:
-            d.jets(x)
-        except DriftDomainError as exc:
-            raise DriftDomainError(f"{exc} at x={x!r}") from None
-        raise
-    f_min = float(np.min(f))
+            f, f1, f2 = d.jets(block)
+        except DriftDomainError:
+            # bisect for the first point where evaluation breaks down: a
+            # slice fails iff one of its points does, so block[i:j] holds it
+            i, j = 0, block.size
+            while j - i > 1:
+                mid = (i + j) // 2
+                try:
+                    d.jets(block[i:mid])
+                    i = mid
+                except DriftDomainError:
+                    j = mid
+            x = float(block[i])
+            try:
+                d.jets(x)
+            except DriftDomainError as exc:
+                raise DriftDomainError(f"{exc} at x={x!r}") from None
+            raise
+        ends.append((np.min(f), np.max(f), np.max(np.abs(f1)),
+                     np.max(np.abs(f2))))
+    mins, maxs, max1, max2 = np.array(ends).T
+    f_min = float(np.min(mins))
     return AssumptionReport(
         f_min=f_min,
-        f_max=float(np.max(f)),
-        f1_max_abs=float(np.max(np.abs(f1))),
-        f2_max_abs=float(np.max(np.abs(f2))),
+        f_max=float(np.max(maxs)),
+        f1_max_abs=float(np.max(max1)),
+        f2_max_abs=float(np.max(max2)),
         epsilon=float(epsilon),
         scan_range=(lo, hi),
         n_samples=int(n),

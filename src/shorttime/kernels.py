@@ -13,7 +13,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .lamperti import _GL16_W, _GL16_X, _check_horizon, _result
 
-# Cells per row block of _fill: 512 KiB of float64, well inside L2.
+# Cells per row block of _fill, nodes per block of _integrate_kernel and
+# points per block of drift.validate_assumption: 512 KiB of float64, well
+# inside L2.
 _BLOCK_CELLS = 1 << 16
 # Half-width of _kernel_band in standard deviations sqrt(T): a cell further
 # out is below exp(-_BAND_SIGMAS^2 / 2) = 1e-16 of its row's peak.
@@ -174,11 +176,19 @@ def _kernel_band(m, kind, T, xs, weights):
 
 
 def _integrate_kernel(kind, m, T, x_prime, lo, hi, n_panels):
+    """16-point Gauss-Legendre integral of the kernel over n_panels equal
+    panels of [lo, hi]; the node values are filled in blocks of about
+    _BLOCK_CELLS nodes, so no kernel temporary spans all the nodes."""
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * _GL16_X[None, :]).ravel()
-    vals = kernel_eval(kind, m, T, nodes, x_prime).reshape(n_panels, -1)
+    offsets = half * _GL16_X
+    vals = np.empty((n_panels, offsets.size))
+    rows = _BLOCK_CELLS // offsets.size
+    for r in range(0, n_panels, rows):
+        vals[r:r + rows] = kernel_eval(kind, m, T,
+                                       mid[r:r + rows, None] + offsets,
+                                       x_prime)
     return float(half * np.sum(vals @ _GL16_W))
 
 

@@ -88,14 +88,18 @@ def _ends(v):
     return v[:-1], v[1:]
 
 
-def _horner(c, v):
-    """Hermite cells c (one column per entry of v) evaluated at v."""
-    s = (v - c[0]) * c[1]
-    out = c[7] * s
+def _horner(c, j, v):
+    """Hermite cells c[:, j] evaluated at v, in three buffers of v's shape:
+    each row of c is gathered on its own (mode "clip": j is in range, and
+    "raise" would buffer the gather)."""
+    s, row, out = (np.empty_like(v) for _ in range(3))
+    np.subtract(v, c[0].take(j, out=row, mode="clip"), out=s)
+    s *= c[1].take(j, out=row, mode="clip")
+    np.multiply(c[7].take(j, out=out, mode="clip"), s, out=out)
     for k in (6, 5, 4, 3):
-        out += c[k]
+        out += c[k].take(j, out=row, mode="clip")
         out *= s
-    out += c[2]
+    out += c[2].take(j, out=row, mode="clip")
     return out
 
 
@@ -187,9 +191,10 @@ class LampertiMap:
         y = np.stack([np.zeros_like(seg), seg])
         fwd = _hermite(ends, y, g, -f1 * g * g)
         inv = _hermite(y, ends, 1.0 / g, f1 / g)
-        x_hat = np.clip(_horner(inv, 0.5 * seg), lo, hi)
+        cols = np.arange(lo.size)
+        x_hat = np.clip(_horner(inv, cols, 0.5 * seg), lo, hi)
         res, res_ok = self._segment_integrals(lo, x_hat)
-        err = np.maximum(np.abs(_horner(fwd, mid) - first),
+        err = np.maximum(np.abs(_horner(fwd, cols, mid) - first),
                          np.abs(res - 0.5 * seg))
         err -= 2.0 * _EPS * np.max(np.abs(ends) * g, axis=0)
         return seg, np.where(ok[:lo.size] & ok[lo.size:] & res_ok, err, np.inf)
@@ -280,8 +285,9 @@ class LampertiMap:
         if self.is_constant:
             return _result((x - ref) / self._rate())
         t = self._cover(x.min(initial=ref), x.max(initial=ref))
-        j = np.searchsorted(t.x, x, side="right") - 1
-        return _result(_horner(np.take(t.fwd, j, axis=1), x))
+        j = np.searchsorted(t.x, x, side="right")
+        j -= 1
+        return _result(_horner(t.fwd, j, x))
 
     def lambda_inverse(self, y):
         """Solve Lambda(x) = y on the table, grown until it covers y: each
@@ -304,8 +310,9 @@ class LampertiMap:
                     f"{float(hi)!r}]; drift bounds likely violated")
             t = self._cover(a, b)
             scale *= 2.0
-        j = np.searchsorted(t.y, y, side="right") - 1
-        return _result(_horner(np.take(t.inv, j, axis=1), y))
+        j = np.searchsorted(t.y, y, side="right")
+        j -= 1
+        return _result(_horner(t.inv, j, y))
 
     def flow(self, x, t):
         """phi_t(x) = Lambda^{-1}(Lambda(x) + t); negative t flows backward,
@@ -315,7 +322,11 @@ class LampertiMap:
             return _result(x + self._const * t)
         lam = self.lambda_map(x)
         y = lam + t
-        return _result(np.where(y == lam, x, self.lambda_inverse(y)))
+        keep = y == lam  # t below Lambda's spacing there: x itself
+        del lam  # held: x, y, keep, then the result, written in place
+        out = np.asarray(self.lambda_inverse(y))
+        np.copyto(out, x, where=keep)
+        return _result(out)
 
     def transport(self, x, t):
         """(y, dy/dx) for the backward flow y = phi_{-t}(x): dy/dx = F(y)/F(x),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .girsanov import chunks
-from .lamperti import _check_horizon
+from .lamperti import _check_horizon, _result
 
 _CHUNK = 1 << 16  # samples per derived seed; output independent of workers
 
@@ -60,12 +60,13 @@ def sample_em_path(m, x_prime, T, n_steps, n, seed):
 
 def ks_distance(s, cdf):
     """Sup distance between the empirical CDF of the samples and cdf."""
-    v = np.sort(s.values)
-    n = v.size
-    c = np.asarray(cdf(v), dtype=float)
-    upper = np.arange(1, n + 1) / n - c
-    lower = c - np.arange(0, n) / n
-    return float(max(np.max(upper), np.max(lower)))
+    n = s.values.size
+    c = np.asarray(cdf(np.sort(s.values)), dtype=float)
+    d = np.arange(1, n + 1) / n
+    upper = np.max(np.subtract(d, c, out=d))
+    np.divide(np.arange(0, n), n, out=d)
+    lower = np.max(np.subtract(c, d, out=d))
+    return float(max(upper, lower))
 
 
 def girsanov_kernel_cdf(m, T, x_prime):
@@ -80,7 +81,9 @@ def girsanov_kernel_cdf(m, T, x_prime):
     sqrt_t = math.sqrt(T)
 
     def cdf(x):
-        y = m.flow(x, -T)
-        return ndtr((y - x_prime) / sqrt_t)
+        y = np.asarray(m.flow(x, -T))  # its own buffer: worked in place
+        y -= x_prime
+        y /= sqrt_t
+        return _result(ndtr(y, out=y))
 
     return cdf

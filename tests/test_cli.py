@@ -830,6 +830,26 @@ class TestMemoryError:
         assert error["kind"] == "resource"
         assert "allocate" in error["message"]
 
+    @pytest.mark.parametrize("n", [2_000_000, 3_000_000])
+    def test_summary_sample_fits(self, n, tmp_path):
+        # 7.1 values a sample (114 and 171 MB) fit the child's 256 MB; at
+        # 15 a sample, gathering eight coefficient rows at once, they did not
+        proc = _run_capped("sample", {
+            "drift": COS, "T": 0.1, "x_prime": 0.0,
+            "sample": {"n": n, "seed": 1}}, tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["n"] == n
+
+    def test_density_past_the_old_limit(self, tmp_path):
+        # 800,000 points at x_prime: past the 781,250 that the mass
+        # defect's 57 values a point allowed, and within the new 10
+        proc = _run_capped("density", {
+            "drift": COS, "T": 0.1, "x_prime": 0.0,
+            "grid": {"x_min": -5.0, "x_max": 6.0, "n_points": 800_000}},
+            tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert (tmp_path / "out" / "density.csv").exists()
+
     def test_compose_cell_cap(self, tmp_path):
         # 20,001^2 kernel cells would take 2.98 GiB: refused before any
         # allocation, so the address-space limit is never reached

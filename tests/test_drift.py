@@ -1,5 +1,6 @@
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,45 @@ class TestValidateAssumption:
         assert len(orders) <= 2 * math.log2(n) + 2
         # F'' is the bound scan's to read
         assert set(orders) == {2}
+
+    @pytest.mark.parametrize("text", ["2 + cos(x)", "0.1 + tanh(x)^2",
+                                      "x^3 - x", "1/x"])
+    def test_blocks_give_the_whole_scan(self, text, monkeypatch):
+        # blocks of 7 points: the extremes, or the error naming the first
+        # failing point, of one whole-array scan
+        d = parse_drift(text)
+
+        def scan():
+            try:
+                rep = validate_assumption(d, (-1.0, 1.0), 0.5, 101)
+            except DriftDomainError as exc:
+                return str(exc)
+            return rep
+
+        whole = scan()
+        monkeypatch.setattr(dmod, "_BLOCK_CELLS", 7)
+        assert scan() == whole
+        if not isinstance(whole, str):
+            f, f1, f2 = d.jets(np.linspace(-1.0, 1.0, 101))
+            assert (whole.f_min, whole.f_max, whole.f1_max_abs,
+                    whole.f2_max_abs) == (np.min(f), np.max(f),
+                                          np.max(np.abs(f1)),
+                                          np.max(np.abs(f2)))
+
+    def test_scan_memory_does_not_grow_with_the_expression(self):
+        # the linspace and one block's jets; one whole-array pass held 13.3
+        # values a point on this drift
+        d = parse_drift("2 + sin(x)*cos(x)*exp(-x^2)*tanh(x) + 1/(2+x^2)"
+                        " + cos(3*x)*sin(2*x)")
+        validate_assumption(d, (-4.0, 4.0), 0.01, 1000)  # its program
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            validate_assumption(d, (-4.0, 4.0), 0.01, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +513,34 @@ def test_programs_match_the_recursive_evaluator(ast, x):
                 _ref_eval(ast, shifted, 0)[0], dtype=float), arg.shape),)))
         _assert_same(_outcome(lambda: m.drift_jets(arg)),
                      _outcome(lambda: _ref_jets(ast, shifted, 1)))
+
+
+@pytest.mark.parametrize("text, calls, buffers", [
+    ("2 + cos(x)", 6, 2), ("2 + sin(x)*cos(x)", 10, 4)])
+def test_programs_drop_identities_and_repeats(text, calls, buffers):
+    # the order-1 programs behind drift_jets, through a map's shift: no
+    # multiplication by 1.0, and sin(u) and cos(u) once each (their chain
+    # rules ask for them again); they ran 7 and 14 calls in 2 and 5 buffers
+    prog = dmod._Program(parse_drift(text).ast, 1, 0.3)
+    ufuncs = [(f, ins) for f, _, ins, out in prog._code if type(out) is int]
+    assert (len(ufuncs), prog._n_buffers) == (calls, buffers)
+    ones = {i for i, c in enumerate(prog._consts) if c == 1.0}
+    assert not any(f is np.multiply and ones & set(ins) for f, ins in ufuncs)
+    names = [f.__name__ for f, _ in ufuncs]
+    assert names.count("sin") == names.count("cos") == 1
+
+
+@pytest.mark.parametrize("text", ["exp(x)", "x * 1", "sin(x) + sin(x)"])
+def test_values_own_their_buffers(text):
+    # a value is never x, nor another value, when its call is an identity
+    # or a repeat
+    x = np.linspace(-1.0, 1.0, 7)
+    d = parse_drift(text)
+    for k in (0, 1, 2):
+        values = [v for v in d.jets(x, k) if np.shape(v) == x.shape]
+        for i, v in enumerate(values):
+            assert not np.shares_memory(v, x)
+            assert not any(np.shares_memory(v, w) for w in values[i + 1:])
 
 
 DEEP = {

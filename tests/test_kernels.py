@@ -137,6 +137,41 @@ class TestNormalization:
             normalization_defect(KernelKind.GIRSANOV, m, 0.1, 0.0,
                                  GridSpec(-0.5, 1.0, 301))
 
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_blocks_keep_the_bits(self, kind, monkeypatch):
+        # node values filled a few panels at a time: the same integral, to
+        # the bit, as all nodes in one kernel_eval call
+        def whole(kind, m, T, x_prime, lo, hi, n_panels):
+            edges = np.linspace(lo, hi, n_panels + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * (edges[1] - edges[0])
+            nodes = (mid[:, None] + half * kernels_mod._GL16_X[None, :])
+            vals = kernel_eval(kind, m, T, nodes.ravel(), x_prime)
+            return float(half * np.sum(vals.reshape(n_panels, -1)
+                                       @ kernels_mod._GL16_W))
+
+        grid = GridSpec(-4.0, 5.0, 1201)
+        monkeypatch.setattr(kernels_mod, "_BLOCK_CELLS", 16 * 7)
+        got = normalization_defect(kind, LampertiMap(TWO_PLUS_COS), 0.1, 0.3,
+                                   grid)
+        monkeypatch.setattr(kernels_mod, "_integrate_kernel", whole)
+        assert got == normalization_defect(kind, LampertiMap(TWO_PLUS_COS),
+                                           0.1, 0.3, grid)
+
+    def test_defect_holds_seven_values_a_point(self):
+        # the 4n fine node values and a few blocks; all nodes in one call
+        # held 57 values a point
+        m = LampertiMap(TWO_PLUS_COS)
+        grid = GridSpec(-5.0, 6.0, 200_000)
+        normalization_defect(KernelKind.GIRSANOV, m, 0.1, 0.0, grid)
+        tracemalloc.start()
+        try:
+            normalization_defect(KernelKind.GIRSANOV, m, 0.1, 0.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * grid.n_points
+
 
 class TestInitialLawAndGrid:
     def test_law_validation(self):

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 import shorttime
 from shorttime import LampertiError, LampertiMap, QuadratureError, parse_drift
+from shorttime import lamperti as lamperti_mod
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
 
@@ -283,6 +284,84 @@ class TestOneTable:
         assert built == []
         m.lambda_map(10.0)  # past the covered range: the table grows
         assert built
+
+
+def _gathered_horner(c, v):
+    """The lookup that gathered all eight coefficient rows at once, kept as
+    the reference: c holds one column per entry of v."""
+    s = (v - c[0]) * c[1]
+    out = c[7] * s
+    for k in (6, 5, 4, 3):
+        out += c[k]
+        out *= s
+    out += c[2]
+    return out
+
+
+def _gathered(m, x, t):
+    """lambda_map(x), lambda_inverse(x) and flow(x, t) by the eight-row
+    gather, on m's table as it stands (a value does not depend on it)."""
+    tb = m._table
+
+    def look(knots, cells, v):
+        j = np.searchsorted(knots, v, side="right") - 1
+        return _gathered_horner(np.take(cells, j, axis=1), v)
+
+    def fmt(v):
+        return float(v) if np.ndim(v) == 0 else v
+
+    x = np.asarray(x, dtype=float)
+    lam = look(tb.x, tb.fwd, x)
+    y = lam + t
+    return [fmt(lam), fmt(look(tb.y, tb.inv, x)),
+            fmt(np.where(y == lam, x, look(tb.y, tb.inv, y)))]
+
+
+class TestRowLookup:
+    """Gathering one coefficient row at a time gives the eight-row gather's
+    bits, on any points, and holds a few values a point."""
+
+    @pytest.mark.parametrize("text", ["2 + cos(x)", "0.1 + tanh(x)^2"])
+    def test_bits_of_the_eight_row_gather(self, text):
+        m = LampertiMap(parse_drift(text), alpha=0.3)
+        rng = np.random.default_rng(11)
+        m.flow(np.array([-7.0, 7.0]), np.array([-0.5, 0.5]))
+        tb = m._table
+        cases = [rng.uniform(-6.0, 6.0, 5001),  # unsorted
+                 tb.x[1:-1], tb.y[1:-1],  # on knots
+                 # inside the table's end cells
+                 0.5 * np.array([tb.x[:2].sum(), tb.x[-2:].sum()]),
+                 0.5 * np.array([tb.y[:2].sum(), tb.y[-2:].sum()]),
+                 1.25, np.float64(-2.5), np.array(0.75)]  # 0-d
+        for v in cases:
+            for t in (0.2, -0.2, 1e-300):
+                got = [m.lambda_map(v), m.lambda_inverse(v), m.flow(v, t)]
+                for g, w in zip(got, _gathered(m, v, t)):
+                    assert type(g) is type(w)
+                    assert np.array_equal(np.asarray(g).view(np.uint64),
+                                          np.asarray(w).view(np.uint64))
+        # the lookup itself, on the knots' own cells and on a 2-D batch
+        j = np.arange(tb.fwd.shape[1])
+        v = np.stack([tb.x[:-1], tb.x[1:]])
+        got = lamperti_mod._horner(tb.fwd, np.broadcast_to(j, v.shape), v)
+        assert np.array_equal(
+            got, _gathered_horner(np.take(tb.fwd, j, axis=1), v))
+
+    @pytest.mark.parametrize("text", ["2 + cos(x)", "0.1 + tanh(x)^2"])
+    def test_flow_holds_six_values_a_point(self, text):
+        # the target y, its keep mask, and the lookup's cell indices and
+        # three buffers, one of them the result; the eight-row gather held 13
+        m = LampertiMap(parse_drift(text))
+        x = np.random.default_rng(5).uniform(-4.0, 4.0, 100_000)
+        m.flow(x, 0.1)  # the table is grown
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m.flow(x, 0.1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * x.nbytes
 
 
 class TestTransport:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,34 @@ class TestKernelCdf:
         assert np.all(np.diff(vals) >= 0.0)
         assert vals[0] < 1e-6
         assert vals[-1] > 1 - 1e-6
+
+    def test_cdf_keeps_the_return_policy(self):
+        cdf = girsanov_kernel_cdf(LampertiMap(TWO_PLUS_COS), 0.2, 0.0)
+        xs = np.linspace(-1.0, 1.0, 5)
+        assert isinstance(cdf(0.5), float)
+        assert cdf(0.5) == cdf(xs.reshape(1, 5))[0, 3]
+        assert np.array_equal(cdf(xs), [cdf(x) for x in xs])
+
+    @pytest.mark.parametrize("text", ["2 + cos(x)", "0.1 + tanh(x)^2"])
+    def test_summary_holds_six_and_a_half_values_a_sample(self, text):
+        # the sorted copy, then the backward flow's values in place; the
+        # eight-row lookup and whole-length differences held 14
+        m = LampertiMap(parse_drift(text))
+        s = sample_crypto(m, 0.0, 0.1, 100_000, seed=5)
+        ks_distance(s, girsanov_kernel_cdf(m, 0.1, 0.0))  # the table is grown
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ks = ks_distance(s, girsanov_kernel_cdf(m, 0.1, 0.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * s.values.nbytes
+        # the same bits as the whole-length formula
+        n = s.values.size
+        c = ndtr((m.flow(np.sort(s.values), -0.1) - 0.0) / math.sqrt(0.1))
+        assert ks == float(max(np.max(np.arange(1, n + 1) / n - c),
+                               np.max(c - np.arange(0, n) / n)))
 
     def test_crypto_samples_follow_kernel(self):
         m = LampertiMap(TWO_PLUS_COS)
