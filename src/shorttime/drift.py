@@ -2,11 +2,11 @@
 
 The drift f(x) is supplied as a small expression over the single variable x
 with +, -, *, /, ^ (constant exponent only) and the functions sin, cos, exp,
-tanh.  One evaluator serves plain floats and numpy arrays at orders 0, 1 and
-2, so f, (f, f') or (f, f', f'') come out of a single pass with no finite
-differencing, and no order is computed that was not asked for.  It runs once
-per order, at the order's first use, recording its ufunc calls into a
-program that each call runs in buffers of its own.
+tanh.  One evaluator serves orders 0, 1 and 2, so f, (f, f') or
+(f, f', f'') come out of a single pass with no finite differencing, and no
+order is computed that was not asked for.  It runs once per order, at the
+order's first use, recording its ufunc calls into a program that each call,
+at a scalar or an array, runs in buffers of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import _BLOCK_CELLS
+from .lamperti import _result
 
 
 class DriftError(Exception):
@@ -324,91 +325,63 @@ def _taylor(node, x, k):
 class _Reg(np.lib.mixins.NDArrayOperatorsMixin):
     """A value of x in a program being recorded: a ufunc applied to it (by
     Python's operators too, operands in their order) appends
-    (ufunc, operands, result) to code and returns the result's _Reg."""
+    (ufunc, operands, result) to code and returns the result's _Reg.  An
+    exact identity (a * 1.0) returns a, and a repeated call the first one's
+    result; neither is recorded."""
 
-    def __init__(self, code):
-        self.code = code
+    def __init__(self, code, first):
+        self.code, self.first = code, first
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         assert method == "__call__" and not kwargs
-        out = _Reg(self.code)
-        self.code.append((ufunc, inputs, out))
-        return out
-
-
-def _always(*args):
-    return True
-
-
-# the ufuncs that Python's operators call on arrays, and those operators,
-# which a scalar x runs as numbers do
-_OPERATORS = {np.add: operator.add, np.subtract: operator.sub,
-              np.multiply: operator.mul, np.divide: operator.truediv,
-              np.negative: operator.neg, np.absolute: operator.abs}
+        reg = [a for a in inputs if isinstance(a, _Reg)]
+        if ufunc is np.multiply and len(reg) == 1 and any(
+                type(a) is float and a == 1.0 for a in inputs):
+            return reg[0]
+        key = (ufunc,) + tuple(id(a) if isinstance(a, _Reg)
+                               else (type(a), np.float64(a).tobytes())
+                               for a in inputs)
+        if key not in self.first:
+            self.first[key] = _Reg(self.code, self.first)
+            self.code.append((ufunc, inputs, self.first[key]))
+        return self.first[key]
 
 
 class _Program:
     """(f, f', f'')[:k + 1] of an AST at shift + x as a straight-line
     program: the ufunc calls that _taylor makes on an array x, on the same
-    operands and in the same order, so each result has the same bits (a
-    scalar x runs Python's operators where _taylor used them, as it did).
+    operands and in the same order, so each result has the same bits.
     Domain checks run in their place among them; one that fails on
-    constants alone (1/0 + x) ends the program.  Calls whose results go
-    unread are dropped, and constants are folded once, here.
+    constants alone (1/0 + x) ends the program.  Constants are folded once,
+    here, and identities and repeats while recording.
 
     A run owns its buffers, each of x's shape: a result overwrites an
     operand read for the last time, so a chain of unary or constant-operand
     calls runs in place, and a new buffer is taken only while two values of
-    x are live at once.  x itself is never written."""
+    x are live at once.  x itself is never written, and every value comes
+    out in a buffer of its own."""
 
     def __init__(self, ast, k, shift):
         code = []
-        x = _Reg(code)
+        x = _Reg(code, {})
         try:
             with np.errstate(all="ignore"):  # warnings of the folds
                 outs = _taylor(ast, x if shift is None else shift + x, k)
         except DriftDomainError as exc:
-            code.append((_always, (), str(exc)))
+            code.append((lambda: True, (), str(exc)))
             outs = ()
-        # an exact identity (a * 1.0) reads a, and a repeated call reads the
-        # first one's result; a value of the program keeps its own call, so
-        # no two values share a buffer
-        values, same, first = {id(v) for v in outs}, {}, {}
-        for i, (f, args, out) in enumerate(code):
-            args = tuple(same.get(id(a), a) for a in args)
-            code[i] = (f, args, out)
-            if not isinstance(out, _Reg) or id(out) in values:
-                continue
-            reg = [a for a in args if isinstance(a, _Reg)]
-            if f is np.multiply and len(reg) == 1 and any(
-                    type(a) is float and a == 1.0 for a in args):
-                same[id(out)] = reg[0]
-                continue
-            key = (f,) + tuple(id(a) if isinstance(a, _Reg)
-                               else (type(a), np.float64(a).tobytes())
-                               for a in args)
-            same[id(out)] = first.setdefault(key, out)
-        # keep the checks and what they or the results read
-        live = set(values)
-        kept = []
-        for f, args, out in reversed(code):
-            if isinstance(out, _Reg) and id(out) not in live:
-                continue
-            kept.append((f, args, out))
-            live.update(id(a) for a in args)
-        kept.reverse()
         last = {}
-        for i, (f, args, out) in enumerate(kept):
+        for i, (f, args, out) in enumerate(code):
             last.update((id(a), i) for a in args)
-        last.update((id(v), len(kept)) for v in outs)
+        last.update((id(v), len(code)) for v in outs)
         # slots: the constants, then x, then the buffers
-        consts = [a for _, args, _ in kept for a in args
+        consts = [a for _, args, _ in code for a in args
                   if not isinstance(a, _Reg)]
         consts += [v for v in outs if not isinstance(v, _Reg)]
         slot = {id(c): i for i, c in enumerate(consts)}
         slot[id(x)] = len(consts)
         free, n_slots, self._code = [], len(consts) + 1, []
-        for i, (f, args, out) in enumerate(kept):
+        for i, (f, args, out) in enumerate(code):
             ins = tuple(slot[id(a)] for a in args)
             for a, s in zip(args, ins):  # a buffer read for the last time
                 if s > len(consts) and last[id(a)] == i and s not in free:
@@ -418,52 +391,34 @@ class _Program:
                     free.append(n_slots)
                     n_slots += 1
                 slot[id(out)] = out = free.pop()
-            self._code.append((f, _OPERATORS.get(f, f), ins, out))
+            self._code.append((f, ins, out))
         self._consts = consts
         self._n_buffers = n_slots - len(consts) - 1
         self._outs = tuple(slot[id(v)] for v in outs)
-        code.clear()  # each _Reg holds code: no cycle left for the collector
+        # each _Reg holds code and first: no cycle left for the collector
+        code.clear()
+        x.first.clear()
 
     def __call__(self, x):
-        """The results at x: for an array, each a buffer of x's shape, a
-        constant, or x itself; for a scalar, the numbers _taylor gives."""
-        scalar = np.ndim(x) == 0
-        if scalar:
-            regs = [*self._consts, x] + [None] * self._n_buffers
-        else:
-            x = np.asarray(x, dtype=float)
-            regs = [*self._consts, x]
-            regs += [np.empty_like(x) for _ in range(self._n_buffers)]
-        for f, op, ins, out in self._code:
+        """The results at x (a scalar runs as a 0-d array), each in a
+        buffer of x's shape that it owns."""
+        x = np.asarray(x, dtype=float)
+        regs = [*self._consts, x]
+        regs += [np.empty_like(x) for _ in range(self._n_buffers)]
+        for f, ins, out in self._code:
             args = [regs[i] for i in ins]
-            if type(out) is not int:
+            if type(out) is str:
                 if f(*args):
                     raise DriftDomainError(out)
-            elif scalar:
-                regs[out] = op(*args)
             else:
                 f(*args, out=regs[out])
-        return [regs[i] for i in self._outs]
-
-
-def _print_ast(node):
-    kind = node[0]
-    if kind == "num":
-        return repr(node[1])
-    if kind == "x":
-        return "x"
-    if kind == "neg":
-        return f"(-{_print_ast(node[1])})"
-    if kind in ("add", "sub", "mul", "div"):
-        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
-        return f"({_print_ast(node[1])} {op} {_print_ast(node[2])})"
-    if kind == "pow":
-        # the base gets its own parens: '^' binds tighter than unary minus,
-        # so a bare negative literal would otherwise reparse as -(b ^ n)
-        return f"(({_print_ast(node[1])}) ^ {repr(node[2])})"
-    if kind == "call":
-        return f"{node[1]}({_print_ast(node[2])})"
-    raise AssertionError(f"unknown node {kind!r}")
+        # x, a constant, or a buffer that an earlier value holds: a copy
+        outs, seen = [], set()
+        for i in self._outs:
+            own = i > len(self._consts) and i not in seen
+            outs.append(regs[i] if own else np.full(x.shape, regs[i]))
+            seen.add(i)
+        return outs
 
 
 # ---------------------------------------------------------------------------
@@ -492,26 +447,19 @@ class DriftExpr:
         order = 2 if self._x_divisor else k
         if order not in self._programs:
             self._programs[order] = _Program(self.ast, order, self._shift)
-        return self._programs[order](x)[:k + 1]
+        return tuple(map(_result, self._programs[order](x)[:k + 1]))
 
     def __call__(self, x):
-        """f at x (scalar or array)."""
+        """f at x: a float for a scalar, else a buffer of x's shape."""
         return self._eval(x, 0)[0]
 
     def jets(self, x, order=2):
-        """(f, f', f'')[:order + 1] at x (scalar or array), each of x's
-        shape."""
-        shape = np.shape(x)
-        return tuple(c if np.shape(c) == shape else np.full(shape, c)
-                     for c in self._eval(x, order))
+        """(f, f', f'')[:order + 1] at x, each as __call__ gives f."""
+        return self._eval(x, order)
 
     @property
     def is_constant(self):
         return not _contains_x(self.ast)
-
-    def canonical(self):
-        """Fully parenthesized form; re-parsing it evaluates identically."""
-        return _print_ast(self.ast)
 
 
 @dataclass(frozen=True)
@@ -536,6 +484,9 @@ BUILTINS = {
 
 def parse_drift(source):
     """Parse an expression in the variable x into a DriftExpr."""
+    if not isinstance(source, str):
+        raise TypeError(f"drift expression must be a string, not "
+                        f"{type(source).__name__}")
     try:
         ast = _Parser(_tokenize(source)).parse()
     except RecursionError:  # the parser's own stack: nesting far past the cap

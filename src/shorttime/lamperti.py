@@ -129,13 +129,9 @@ class LampertiMap:
     # -- effective drift ----------------------------------------------------
 
     def drift_at(self, x):
-        """F(x) as a float array of x's shape (0-d for a scalar x): a buffer
-        of the call's own, but for a constant drift its value broadcast."""
-        x = np.asarray(x, dtype=float)
-        f = self._shifted(x)
-        if self.is_constant:
-            return np.broadcast_to(np.asarray(f, dtype=float), x.shape)
-        return np.asarray(f)
+        """F(x) as a float array of x's shape (0-d for a scalar x), in a
+        buffer of the call's own."""
+        return np.asarray(self._shifted(x))
 
     def drift_jets(self, x):
         """(F, F') at x, from one order-1 pass."""

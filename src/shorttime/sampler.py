@@ -50,8 +50,8 @@ def sample_em_path(m, x_prime, T, n_steps, n, seed):
     for rng, k in chunks(n, _CHUNK, seed):
         x, z = np.full(k, float(x_prime)), np.empty(k)
         for _ in range(n_steps):  # in place; the same sums as x + F dt + dB
-            f = m.drift_at(x)  # its own buffer, but for a constant drift
-            x += np.multiply(f, dt, out=f if f.flags.writeable else None)
+            f = m.drift_at(x)  # a buffer of its own
+            x += np.multiply(f, dt, out=f)
             x += np.multiply(rng.standard_normal(out=z), sqrt_dt, out=z)
         values.append(x)
     return SampleSet(values=np.concatenate(values), horizon=float(T),

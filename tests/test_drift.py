@@ -67,6 +67,11 @@ class TestParse:
         with pytest.raises(DriftParseError):
             parse_drift("x + 1 )")
 
+    @pytest.mark.parametrize("source", [1.0, ["x"], None])
+    def test_non_string_source_rejected(self, source):
+        with pytest.raises(TypeError, match=type(source).__name__):
+            parse_drift(source)
+
 
 class TestEval:
     def test_cos_jet(self):
@@ -274,8 +279,29 @@ def _extend(children):
 _asts = hs.recursive(_leaf, _extend, max_leaves=10)
 
 
+def _print_ast(node):
+    """Fully parenthesized source text of an AST."""
+    kind = node[0]
+    if kind == "num":
+        return repr(node[1])
+    if kind == "x":
+        return "x"
+    if kind == "neg":
+        return f"(-{_print_ast(node[1])})"
+    if kind in ("add", "sub", "mul", "div"):
+        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
+        return f"({_print_ast(node[1])} {op} {_print_ast(node[2])})"
+    if kind == "pow":
+        # the base gets its own parens: '^' binds tighter than unary minus,
+        # so a bare negative literal would otherwise reparse as -(b ^ n)
+        return f"(({_print_ast(node[1])}) ^ {repr(node[2])})"
+    if kind == "call":
+        return f"{node[1]}({_print_ast(node[2])})"
+    raise AssertionError(f"unknown node {kind!r}")
+
+
 def _make_expr(ast):
-    return DriftExpr(ast=ast, source_text=dmod._print_ast(ast))
+    return DriftExpr(ast=ast, source_text=_print_ast(ast))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -312,8 +338,9 @@ def test_jets_match_finite_differences(ast, x):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(ast=_asts)
 def test_canonical_roundtrip(ast):
+    # the printed text parses back to a drift that evaluates identically
     d = _make_expr(ast)
-    reparsed = parse_drift(d.canonical())
+    reparsed = parse_drift(_print_ast(ast))
     xs = np.linspace(-2.0, 2.0, 100)
     for x in xs:
         try:
@@ -441,8 +468,11 @@ def _ref_eval(ast, x, k):
 
 
 def _ref_jets(ast, x, k):
-    shape = np.shape(x)
-    return tuple(c if np.shape(c) == shape else np.full(shape, c)
+    """The reference values as DriftExpr gives them: each of x's shape, a
+    float for a scalar x."""
+    x = np.asarray(x)
+    return tuple(float(c) if x.ndim == 0 else
+                 c if np.shape(c) == x.shape else np.full(x.shape, c)
                  for c in _ref_eval(ast, x, k))
 
 
@@ -456,7 +486,9 @@ def _outcome(call):
 
 def _assert_same(got, want):
     """Both raised the same message, or gave values of the same types,
-    shapes and bits (NaNs' too)."""
+    shapes and bits (NaNs' too, but for a 0-d NaN's sign: numpy's 0-d loops
+    and its scalar arithmetic may give NaN + NaN of mixed signs either
+    operand's)."""
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
@@ -464,7 +496,10 @@ def _assert_same(got, want):
     for g, w in zip(got, want):
         assert type(g) is type(w) and np.shape(g) == np.shape(w)
         g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
-        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        if g.ndim == 0 and np.isnan(w):
+            assert np.isnan(g)
+        else:
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 _SPECIAL = [0.0, -0.0, 1e-12, -1e-12, 0.5, -2.0, math.inf, -math.inf,
@@ -497,7 +532,7 @@ def test_programs_match_the_recursive_evaluator(ast, x):
     b = np.tile(np.append(points, 7.0), (3, 1))
     for arg in (x, 0.0, -0.0, math.inf, math.nan, points, b[:, :-1]):
         _assert_same(_outcome(lambda: (d(arg),)),
-                     _outcome(lambda: _ref_eval(ast, arg, 0)))
+                     _outcome(lambda: _ref_jets(ast, arg, 0)))
         for k in (0, 1, 2):
             _assert_same(_outcome(lambda: d.jets(arg, k)),
                          _outcome(lambda: _ref_jets(ast, arg, k)))
@@ -522,7 +557,7 @@ def test_programs_drop_identities_and_repeats(text, calls, buffers):
     # multiplication by 1.0, and sin(u) and cos(u) once each (their chain
     # rules ask for them again); they ran 7 and 14 calls in 2 and 5 buffers
     prog = dmod._Program(parse_drift(text).ast, 1, 0.3)
-    ufuncs = [(f, ins) for f, _, ins, out in prog._code if type(out) is int]
+    ufuncs = [(f, ins) for f, ins, out in prog._code if type(out) is int]
     assert (len(ufuncs), prog._n_buffers) == (calls, buffers)
     ones = {i for i, c in enumerate(prog._consts) if c == 1.0}
     assert not any(f is np.multiply and ones & set(ins) for f, ins in ufuncs)
@@ -530,17 +565,21 @@ def test_programs_drop_identities_and_repeats(text, calls, buffers):
     assert names.count("sin") == names.count("cos") == 1
 
 
-@pytest.mark.parametrize("text", ["exp(x)", "x * 1", "sin(x) + sin(x)"])
+@pytest.mark.parametrize("text", ["exp(x)", "x * 1", "sin(x) + sin(x)",
+                                  "x", "1", "2 + cos(x)"])
 def test_values_own_their_buffers(text):
-    # a value is never x, nor another value, when its call is an identity
-    # or a repeat
+    # every value is a writable buffer of x's shape, never x nor another
+    # value: also when its call is an identity or a repeat, or it is x or a
+    # constant; at a scalar, every value is a float
     x = np.linspace(-1.0, 1.0, 7)
     d = parse_drift(text)
     for k in (0, 1, 2):
-        values = [v for v in d.jets(x, k) if np.shape(v) == x.shape]
+        values = (d(x),) + d.jets(x, k)
         for i, v in enumerate(values):
+            assert v.shape == x.shape and v.flags.writeable
             assert not np.shares_memory(v, x)
             assert not any(np.shares_memory(v, w) for w in values[i + 1:])
+        assert all(type(v) is float for v in (d(0.5),) + d.jets(0.5, k))
 
 
 DEEP = {
