@@ -370,8 +370,12 @@ def _cmd_sample(cfg, out):
     em = scheme != "crypto"
     steps = _num(scfg, "n_steps", count=True) if em else 0
     # a summary holds 7.1 values a sample by tracemalloc, a CSV 2; an
-    # Euler-Maruyama step is one drift call per RNG chunk of samples
-    _budget("sample.n x sample.n_steps" if em else "sample.n", cells=8 * n,
+    # Euler-Maruyama step is one drift call per RNG chunk of samples, and
+    # its normals fill the draw-ahead worker's _AHEAD + 1 blocks of up to
+    # _BLOCK_CELLS values (at most 8 n + 4.91 blocks, at n = 1,000)
+    blocks = (girsanov._AHEAD + 1) * girsanov._BLOCK_CELLS if em else 0
+    _budget("sample.n x sample.n_steps" if em else "sample.n",
+            cells=8 * n + blocks,
             work=steps * (n + -(-n // sampler._CHUNK) * _CALL_WORK))
     s = (sampler.sample_em_path(m, xp, T, steps, n, seed) if em
          else sampler.sample_crypto(m, xp, T, n, seed))

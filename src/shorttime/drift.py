@@ -366,7 +366,9 @@ class _Program:
         x = _Reg(code, {})
         try:
             with np.errstate(all="ignore"):  # warnings of the folds
-                outs = _taylor(ast, x if shift is None else shift + x, k)
+                # no shift for an AST without x: nothing would read it
+                at = x if shift is None or not _contains_x(ast) else shift + x
+                outs = _taylor(ast, at, k)
         except DriftDomainError as exc:
             code.append((lambda: True, (), str(exc)))
             outs = ()

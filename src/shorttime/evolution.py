@@ -118,16 +118,20 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
         raise ValueError("need at least one time step")
     xs = grid.points()
     dx = grid.dx
+    # a start (or warm-start mean) off the grid would leave a density that
+    # vanishes on it, and the warm start's square may overflow
+    _check_on_grid("start x_prime", x_prime, grid)
     t0 = min(1e-3, T / 100.0)
     f0, f1 = m.drift_jets(x_prime)
     f0, f1 = float(f0), float(f1)
     mu0 = x_prime + f0 * t0 + 0.5 * f0 * f1 * t0 * t0
+    _check_on_grid("warm-start mean", mu0, grid)
     var0 = max(t0 * (1.0 + f1 * t0), 0.5 * t0)
+    if dx * dx > 4.0 * var0:
+        raise ValueError("grid too coarse for the warm-start kernel")
     p = np.exp(-np.square(xs - mu0) / (2.0 * var0)) / math.sqrt(
         2.0 * math.pi * var0
     )
-    if dx * dx > 4.0 * var0:
-        raise ValueError("grid too coarse for the warm-start kernel")
 
     mids = 0.5 * (xs[:-1] + xs[1:])
     fm = m.drift_at(mids)
@@ -166,6 +170,12 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
     if float(np.min(p)) < -1e-8 * peak:
         raise InstabilityError("negative density beyond tolerance")
     return GridDensity(grid=grid, values=p, time=T)
+
+
+def _check_on_grid(label, x, grid):
+    if not grid.x_min <= x <= grid.x_max:
+        raise BoundaryError(f"solve_fokker_planck: {label} {x!r} lies off "
+                            f"the grid [{grid.x_min!r}, {grid.x_max!r}]")
 
 
 def density_distance(a, b, metric="L1"):

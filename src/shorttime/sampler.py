@@ -5,11 +5,12 @@ fine-grid Euler-Maruyama endpoints of the true SDE, plus a KS comparison.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .girsanov import chunks
+from .girsanov import _BLOCK_CELLS, _normals, chunks
 from .lamperti import _check_horizon, _result
 
 _CHUNK = 1 << 16  # samples per derived seed; output independent of workers
@@ -40,7 +41,14 @@ def sample_crypto(m, x_prime, T, n, seed):
 
 
 def sample_em_path(m, x_prime, T, n_steps, n, seed):
-    """Euler-Maruyama endpoints of dX = F(X) dt + dB from x'."""
+    """Euler-Maruyama endpoints of dX = F(X) dt + dB from x'.
+
+    Each RNG chunk of k samples takes its normals from girsanov's draw-ahead
+    worker (_normals), in row blocks of about _BLOCK_CELLS cells: row i is
+    step i's k normals, in the stream order of one draw of k a step, so the
+    bytes do not depend on the worker's timing.  The drift and the update
+    run here, on the caller's thread; the worker is joined before this
+    returns or raises."""
     _check_horizon(T)
     if n_steps < 1 or n < 1:
         raise ValueError("need at least one step and one sample")
@@ -48,11 +56,14 @@ def sample_em_path(m, x_prime, T, n_steps, n, seed):
     sqrt_dt = math.sqrt(dt)
     values = []
     for rng, k in chunks(n, _CHUNK, seed):
-        x, z = np.full(k, float(x_prime)), np.empty(k)
-        for _ in range(n_steps):  # in place; the same sums as x + F dt + dB
-            f = m.drift_at(x)  # a buffer of its own
-            x += np.multiply(f, dt, out=f)
-            x += np.multiply(rng.standard_normal(out=z), sqrt_dt, out=z)
+        x = np.full(k, float(x_prime))
+        rows = max(1, min(n_steps, _BLOCK_CELLS // k))
+        with closing(_normals([(rng, n_steps)], rows, k)) as blocks:
+            for _, _, z in blocks:
+                for dz in z:  # in place; the same sums as x + F dt + dB
+                    f = m.drift_at(x)  # a buffer of its own
+                    x += np.multiply(f, dt, out=f)
+                    x += np.multiply(dz, sqrt_dt, out=dz)
         values.append(x)
     return SampleSet(values=np.concatenate(values), horizon=float(T),
                      seed=int(seed), scheme="euler_maruyama_path")

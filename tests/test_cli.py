@@ -449,6 +449,23 @@ class TestComposeAndFp:
         assert peak[0] == pytest.approx(0.0, abs=0.02)
         assert peak[1] == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-3)
 
+    @pytest.mark.parametrize("x_prime", [100.0, 1e300, -6.6])
+    def test_fp_solve_refuses_a_start_off_the_grid(self, x_prime, tmp_path,
+                                                   capsys, recwarn):
+        # density and compose refuse it too; fp-solve wrote an all-zero
+        # density of mass 0, and warned of an overflow at 1e300
+        out = tmp_path / "out"
+        cfg = os.path.join(_ROOT, "configs", "fp_oracle.json")
+        code, payload = run(capsys, "fp-solve", "--config", cfg,
+                            "--out-dir", str(out), "--set",
+                            f"x_prime={x_prime!r}")
+        assert code == 1
+        assert payload["error"]["kind"] == "domain"
+        assert payload["error"]["module"] == "evolution"
+        assert "off the grid" in payload["error"]["message"]
+        assert not out.exists() or not any(out.iterdir())
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
 
 class TestSampleCommand:
     def test_summary(self, tmp_path, capsys):

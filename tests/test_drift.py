@@ -565,6 +565,21 @@ def test_programs_drop_identities_and_repeats(text, calls, buffers):
     assert names.count("sin") == names.count("cos") == 1
 
 
+def test_program_without_x_skips_the_shift():
+    # a constant drift read through a map's shift: alpha + x would go into
+    # a buffer that nothing reads
+    x = np.linspace(-1.0, 1.0, 7)
+    for k in (0, 1, 2):
+        prog = dmod._Program(parse_drift("1").ast, k, 0.3)
+        assert prog._code == [] and prog._n_buffers == 0
+        values = prog(x)
+        assert [v.tolist() for v in values] == [[1.0] * 7, [0.0] * 7,
+                                                [0.0] * 7][:k + 1]
+    m = LampertiMap(parse_drift("1"), alpha=0.3)
+    assert m.drift_at(x).tolist() == [1.0] * 7
+    assert [v.tolist() for v in m.drift_jets(x)] == [[1.0] * 7, [0.0] * 7]
+
+
 @pytest.mark.parametrize("text", ["exp(x)", "x * 1", "sin(x) + sin(x)",
                                   "x", "1", "2 + cos(x)"])
 def test_values_own_their_buffers(text):

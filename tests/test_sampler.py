@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from shorttime import (
+    DriftDomainError,
     LampertiMap,
     girsanov_kernel_cdf,
     ks_distance,
@@ -13,6 +15,7 @@ from shorttime import (
     sample_crypto,
     sample_em_path,
 )
+from shorttime import girsanov, sampler
 from shorttime.girsanov import chunk_rng
 from shorttime.sampler import SampleSet
 
@@ -77,6 +80,17 @@ class TestSampleCrypto:
             sample_crypto(m, 0.0, 0.1, 0, seed=1)
 
 
+class _ThreadRecordingRng:
+    """A chunk generator that records the thread of each draw."""
+
+    def __init__(self, rng, draws):
+        self.rng, self.draws = rng, draws
+
+    def standard_normal(self, *, out):
+        self.draws.append(threading.current_thread())
+        self.rng.standard_normal(out=out)
+
+
 class TestSampleEmPath:
     def test_constant_drift_moments(self):
         m = LampertiMap(parse_drift("2"))
@@ -92,16 +106,23 @@ class TestSampleEmPath:
         b = sample_em_path(m, 0.0, 0.1, 8, 100, seed=3)
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("text", ["2 + cos(x)", "2"])
-    def test_matches_step_loop_reference(self, text):
-        # the allocating loop the in-place one replaced; 70,000 samples span
-        # two RNG chunks
+    @pytest.mark.parametrize("text, n, steps", [
+        # two RNG chunks, one step a block (65,536 normals)
+        pytest.param("2 + cos(x)", 70000, 8, id="2 + cos(x)"),
+        pytest.param("2", 70000, 8, id="2"),
+        # 14 steps a block: all 5 steps in one block, and 37 steps in
+        # blocks of 14, 14 and 9
+        pytest.param("2 + cos(x)", 4464, 5, id="one-block"),
+        pytest.param("2 + cos(x)", 4464, 37, id="partial-last-block")])
+    def test_matches_step_loop_reference(self, text, n, steps):
+        # the allocating loop that draws each step's normals in turn
         m = LampertiMap(parse_drift(text))
-        T, steps, n, seed = 0.1, 8, 70000, 5
+        T, seed = 0.1, 5
         dt = T / steps
         sqrt_dt = math.sqrt(dt)
         ref = []
-        for i, k in enumerate((65536, n - 65536)):
+        for i, lo in enumerate(range(0, n, sampler._CHUNK)):
+            k = min(sampler._CHUNK, n - lo)
             rng = chunk_rng(seed, i)
             x = np.full(k, 0.3)
             for _ in range(steps):
@@ -109,6 +130,43 @@ class TestSampleEmPath:
             ref.append(x)
         s = sample_em_path(m, 0.3, T, steps, n, seed)
         assert np.array_equal(s.values, np.concatenate(ref))
+
+    def test_drift_runs_on_the_caller_thread(self, monkeypatch):
+        # the normals are drawn on one worker thread per RNG chunk; the
+        # drift and the update stay on the caller's, and every worker is
+        # gone on return
+        m = LampertiMap(TWO_PLUS_COS)
+        want = sample_em_path(m, 0.3, 0.1, 37, 4464, 5).values
+        calls, draws = [], []
+        drift_at, rng = LampertiMap.drift_at, girsanov.chunk_rng
+
+        def drift_at_(self, x):
+            calls.append(threading.current_thread())
+            return drift_at(self, x)
+
+        def chunk_rng_(*a):
+            return _ThreadRecordingRng(rng(*a), draws)
+
+        monkeypatch.setattr(LampertiMap, "drift_at", drift_at_)
+        monkeypatch.setattr(girsanov, "chunk_rng", chunk_rng_)
+        threads = set(threading.enumerate())
+        assert np.array_equal(
+            sample_em_path(m, 0.3, 0.1, 37, 4464, 5).values, want)
+        assert set(threading.enumerate()) == threads
+        main = threading.main_thread()
+        assert len(calls) == 37 and all(t is main for t in calls)
+        # 37 steps in blocks of 14: three draws, on one worker
+        assert len(draws) == 3 and len(set(draws)) == 1
+        assert draws[0] is not main and not draws[0].is_alive()
+
+    def test_no_worker_outlives_a_failed_path(self):
+        # x^0.5 from x' = 0.01 leaves its domain after the first step,
+        # while the worker still draws blocks of 65 steps ahead
+        m = LampertiMap(parse_drift("x^0.5"), reference_point=1.0)
+        threads = set(threading.enumerate())
+        with pytest.raises(DriftDomainError):
+            sample_em_path(m, 0.01, 0.1, 2000, 1000, 3)
+        assert set(threading.enumerate()) == threads
 
     def test_validation(self):
         m = LampertiMap(TWO_PLUS_COS)
