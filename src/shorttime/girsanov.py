@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import queue
 import threading
+import time
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -19,6 +21,7 @@ from .lamperti import _check_horizon, _result
 _CHUNK = 2048  # paths per RNG chunk; fixes seeding independent of workers
 _BLOCK_CELLS = 1 << 16  # path cells per row block: z, inc and B fit in L2
 _AHEAD = 4  # row blocks of normals drawn ahead of the reduction
+_SPIN_S = 0.005  # longest wait for a block spent spinning, not asleep
 
 
 def chunk_rng(base_seed, chunk_index):
@@ -241,7 +244,16 @@ def _normals(chunk_list, rows, n_steps):
 
 
 def _next_drawn(done, drawn):
-    """The oldest block handed to the worker, once it is drawn."""
+    """The oldest block handed to the worker, once it is drawn.
+
+    The caller waits for it spinning, giving up the GIL and its CPU slice on
+    every turn, for up to _SPIN_S, and only then asleep: a block takes about
+    a millisecond to draw, and on a 2-vCPU VM a thread that sleeps through
+    dozens of such waits an op ran its next ops up to half again slower
+    (see CHANGES.md); a spinning wait keeps its CPU busy."""
+    deadline = time.perf_counter() + _SPIN_S
+    while done.empty() and time.perf_counter() < deadline:
+        os.sched_yield()
     err = done.get()
     if err is not None:
         raise err

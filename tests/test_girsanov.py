@@ -1,6 +1,8 @@
 import math
+import queue
 import sys
 import threading
+from collections import deque
 
 import numpy as np
 import pytest
@@ -528,6 +530,23 @@ class TestDrawAhead:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert all(_same(ests, want) for ests in got)
+
+    @pytest.mark.parametrize("err", [None, FloatingPointError("draw fault")])
+    def test_wait_past_the_spin_sleeps_until_drawn(self, err):
+        # the block is drawn well after the spinning part of the wait
+        done, drawn = queue.SimpleQueue(), deque([(7, 0, "block")])
+        timer = threading.Timer(4 * girsanov._SPIN_S, done.put, (err,))
+        timer.start()
+        try:
+            if err is None:
+                assert girsanov._next_drawn(done, drawn) == (7, 0, "block")
+                assert not drawn
+            else:
+                with pytest.raises(FloatingPointError) as info:
+                    girsanov._next_drawn(done, drawn)
+                assert info.value is err
+        finally:
+            timer.join()
 
 
 class TestRateFit:
