@@ -33,7 +33,7 @@ class ConfigError(Exception):
 
 
 _FLOAT = "%.17g"  # 17 significant digits: every float64 reads back exactly
-_BLOCK = 8192  # rows per `%` call in _write_csv
+_BLOCK = 8192  # rows a block in _write_csv
 # The one budget of every command (_budget): _MAX_CELLS float64 values held
 # at once (400 MB) and _MAX_WORK units of work, a unit being one cell update
 # of about 18 ns (16 ns a point in a 2,001-point Crank-Nicolson step), so
@@ -182,20 +182,113 @@ def _kinds(cfg):
         raise ConfigError(f"unknown kernel kind {kind!r}") from None
 
 
+# _write_csv prints _FLOAT itself where it writes no exponent: for a value
+# that rounds into [1e-4, 1e17) (so |v| >= 9.5e-5).  Its 17 digits at
+# exponent k are N = round-half-even(|v| 10^(16-k)), computed exactly by
+# Dekker's error-free product with 10^(16-k) (exact in float64 for
+# 0 <= 16-k <= 22).  log10 only guesses k, and the check
+# 10^16 <= N < 10^17 moves a wrong guess one step at a time, so no byte
+# depends on numpy's SIMD dispatch.  Every other value is printed by `%`.
+_P10 = 10.0 ** np.arange(23)
+
+
+def _split(a):
+    """Veltkamp's split: a == hi + lo, each of at most 26 significant bits."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_P10_HI, _P10_LO = _split(_P10)
+_CHUNKS = ((np.arange(10_000)[:, None] // [1000, 100, 10, 1]) % 10
+           + ord("0")).astype(np.uint8)  # the 4 digits of each 4-digit chunk
+_ZEROS = (_CHUNKS[:, ::-1] == ord("0")).cumprod(axis=1).sum(axis=1,
+                                                            dtype=np.int8)
+_CHUNKS = _CHUNKS.view(np.uint32).ravel()
+_COLS = np.arange(28)  # a value's row: its text (at most 24 bytes), its sep
+_BEFORE = (_COLS < _COLS[:, None]).view(np.uint8)  # row p: columns before p
+_SPAN = ((_COLS >= _COLS[:6, None, None]) & (_COLS <= _COLS[:25, None])
+         ).reshape(-1, 28)  # row 25 lo + hi: columns lo to hi
+
+
+def _digits17(a, k):
+    """round-half-even(a 10^(16-k)) as int64; exact where it is >= 2^53."""
+    p = a * _P10[16 - k]
+    ah, al = _split(a)
+    bh, bl = _P10_HI[16 - k], _P10_LO[16 - k]
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a 10^(16-k) - p
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _csv_block(v, buffers, sep):
+    """The text of the float64 values v, each followed by its byte of sep,
+    built in the first len(v) rows of _write_csv's buffers."""
+    m = len(v)
+    digits, text, mask, base, chunks = buffers
+    digits, text, mask, base, c = (digits[:m], text[:m], mask[:m], base[:m],
+                                   chunks[:, :m])
+    a = np.abs(v)
+    fast = (a >= 9.5e-5) & (a < 1e17)
+    a[~fast] = 1.0
+    k = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.intp)
+    n = _digits17(a, k)
+    while (bad := np.flatnonzero((n < 10**16) | (n >= 10**17))).size:
+        k[bad] += np.where(n[bad] < 10**16, -1, 1)
+        n[bad] = _digits17(a[bad], k[bad])
+    fast &= k >= -4
+    k[~fast] = 0
+    # n's five chunks "000d", "dddd" x 4 go to digits[:, 4:24], whose
+    # columns 2-23 are then 5 zeros and the 17 digits: g[0..21]
+    np.floor_divide(n, 10 ** np.arange(16, -1, -4)[:, None], out=c)
+    c[1:] -= c[:-1] * 10**4
+    digits.view(np.uint32)[:, 1:6] = _CHUNKS[c].T
+    z = _ZEROS[c]  # n's trailing zeros, from its chunks' (4 for a 0 chunk)
+    z = z[4] + (z[4] == 4) * (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * z[1]))
+    # the row is g[j] before the point, the point at column k + 6, g[j - 1]
+    # after it; it starts at g[first] (the 0 before a point if k < 0, else
+    # the first digit), or one column earlier with a sign, and ends before
+    # the trailing zeros, or before the point if they are the whole fraction
+    point, first = k + 6, 5 + np.minimum(k, 0)
+    lo, hi = first - np.signbit(v), np.where(z <= 15 - k, 23 - z, point)
+    row, g = text.ravel(), digits.ravel()
+    np.take(_BEFORE, point, axis=0, out=mask.view(np.uint8), mode="clip")
+    np.subtract(g[2:], g[1:-1], out=row[:-2])
+    row[:-2] *= mask.view(np.uint8).ravel()[:-2]
+    row[:-2] += g[1:-1]
+    row[base + point] = ord(".")
+    row[base + first - 1] = ord("-")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        printed = b"%-24.17g" * slow.size % tuple(v[slow].tolist())
+        printed = np.frombuffer(printed, np.uint8).reshape(-1, 24)
+        text[slow, :24] = printed
+        lo[slow], hi[slow] = 0, (printed != ord(" ")).sum(axis=1)
+    row[base + hi] = sep[:m]
+    np.take(_SPAN, lo * 25 + hi, axis=0, out=mask, mode="clip")
+    return text[mask]
+
+
 def _write_csv(path, header, *columns):
-    """CSV of equal-length float columns, one `%` format per block of rows,
-    each block stacked from the columns on its own."""
-    columns = [np.asarray(c) for c in columns]
+    """CSV of equal-length float columns, one header line, then one row a
+    point, a value's text being _FLOAT's.  Blocks of _BLOCK rows are stacked
+    from the columns one at a time and formatted by _csv_block in buffers
+    made once per file."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns of {sorted({len(c) for c in columns})} "
                          "rows, not one length")
-    row = ",".join([_FLOAT] * len(columns)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    m = min(n, _BLOCK) * len(columns)
+    buffers = (np.full((m, 28), ord("0"), np.uint8), np.empty((m, 28), np.uint8),
+               np.empty((m, 28), bool), 28 * np.arange(m),
+               np.empty((5, m), np.int64))
+    sep = np.full(m, ord(","), np.uint8)
+    sep[len(columns) - 1::len(columns)] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for r in range(0, n, _BLOCK):
             block = np.column_stack([c[r:r + _BLOCK] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(block.ravel(), buffers, sep))
 
 
 def _write_json(path, obj):

@@ -75,8 +75,12 @@ class GridSpec:
 def _gaussian(a, b, T, scale, damp):
     """scale * exp(-(a - b)^2 / 2T - damp), broadcast over all operands:
     the one Gaussian of every kernel, a the row centre and b the column
-    centre."""
-    return scale * np.exp(-np.square(a - b) / (2.0 * T) - damp)
+    centre.  A distance whose square overflows (a start at 1e300, say)
+    gives exp(-inf) = 0, the kernel's value there, so that overflow is
+    not reported."""
+    with np.errstate(over="ignore"):
+        square = np.square(a - b)
+    return scale * np.exp(-square / (2.0 * T) - damp)
 
 
 def _operands(kind, m, T, x, x_prime):

@@ -466,6 +466,27 @@ class TestComposeAndFp:
         assert not out.exists() or not any(out.iterdir())
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
+    @pytest.mark.parametrize("x_prime", [1e300, -1e300])
+    @pytest.mark.parametrize("command,config", [
+        ("density", "density_all_kernels.json"),
+        ("compose", "compose_path_integral.json"),
+    ], ids=["density", "compose"])
+    def test_a_start_far_off_the_grid_vanishes_quietly(
+            self, command, config, x_prime, tmp_path, capsys, recwarn):
+        # the kernel is 0 on the whole grid, a domain error; the square of
+        # the start's distance overflows to inf, and used to warn so
+        out = tmp_path / "out"
+        code, payload = run(capsys, command, "--config",
+                            os.path.join(_ROOT, "configs", config),
+                            "--out-dir", str(out), "--set",
+                            f"x_prime={x_prime!r}")
+        assert code == 1
+        assert payload["error"]["kind"] == "domain"
+        assert "vanished on the whole grid" in payload["error"]["message"]
+        assert not out.exists() or not any(out.iterdir())
+        assert capsys.readouterr().err == ""
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
 
 class TestSampleCommand:
     def test_summary(self, tmp_path, capsys):
@@ -768,8 +789,9 @@ class TestWriteCsv:
     @pytest.mark.parametrize("nrows", [0, 1, 8191, 8192, 8193, 16385])
     @pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
     def test_block_boundaries(self, nrows, ncols, tmp_path):
+        # scales in and just past [1e-4, 1e17), where no exponent is written
         rng = np.random.default_rng(nrows * 10 + ncols)
-        cols = [rng.standard_normal(nrows) * 10.0 ** rng.integers(-300, 300)
+        cols = [rng.standard_normal(nrows) * 10.0 ** rng.integers(-6, 18)
                 for _ in range(ncols)]
         got = self._written(tmp_path / "b.csv", cols)
         assert got.count(b"\n") == nrows + 1
@@ -797,6 +819,114 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             cli._write_csv(str(path), ["a", "b"], [1.0, 2.0], [1.0])
         assert not path.exists()
+
+    # values around the range the writer formats itself, [1e-4, 1e17) after
+    # rounding to 17 digits: the range and its ends, short decimals (with
+    # trailing zeros to strip), ties at the 17th digit (odd multiples of
+    # 2^(k-17) in [10^k, 10^(k+1)) have 18 digits, the last a 5), and any
+    # float64 at all
+    _VALUES = hs.one_of(
+        hs.floats(9e-5, 1.1e17), hs.floats(-1.1e17, -9e-5),
+        hs.builds(lambda i, e: i / 10.0 ** e, hs.integers(-10**9, 10**9),
+                  hs.integers(0, 12)),
+        hs.builds(lambda k, u: math.ldexp(2 * math.floor(
+            10.0 ** k * 2.0 ** (16 - k) * (1 + 9 * u)) + 1, k - 17),
+                  hs.integers(-4, 14), hs.floats(0, 0.99)),
+        hs.floats())
+
+    @settings(max_examples=2000, derandomize=True, deadline=None)
+    @given(table=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                    min_side=1, max_side=3),
+                            elements=_VALUES),
+           block=hs.integers(1, 2))
+    def test_matches_row_writer_near_the_fast_range(self, table, block,
+                                                    tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "near_the_fast_range.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK", block)
+            self._written(path, list(table.T))
+
+    @pytest.mark.parametrize("value,text", [
+        (123456789012345.625, "123456789012345.62"),
+        (123456789012345.875, "123456789012345.88"),
+        (-123456789012345.625, "-123456789012345.62"),
+        (58.9262542724609375, "58.926254272460938"),
+        (0.000833988189697265625, "0.00083398818969726562"),
+        (0.00102519989013671875, "0.0010251998901367188"),
+    ])
+    def test_ties_round_half_even(self, value, text, tmp_path):
+        got = self._written(tmp_path / "t.csv", [[value]])
+        assert got == f"c0\n{text}\n".encode()
+
+    @staticmethod
+    def _powers_of_ten():
+        """Each power of ten from 1e-6 to 1e18 and its two nearest float64
+        neighbours on each side, of both signs: a 17-digit rounding that
+        carried into the next power would show here (none does)."""
+        p = np.array([float(f"1e{e}") for e in range(-6, 19)])
+        down, up = np.nextafter(p, 0.0), np.nextafter(p, math.inf)
+        near = np.concatenate([p, down, np.nextafter(down, 0.0), up,
+                               np.nextafter(up, math.inf)])
+        return np.concatenate([near, -near])
+
+    def test_powers_of_ten(self, tmp_path):
+        values = self._powers_of_ten()
+        got = self._written(tmp_path / "p.csv", [values]).decode()
+        text = dict(zip(values.tolist(), got.splitlines()[1:]))
+        assert text[1e-4] == "0.0001"
+        assert text[float(np.nextafter(1e-4, 0.0))] == "9.9999999999999991e-05"
+        assert text[1e16] == "10000000000000000"
+        assert text[-1e17] == "-1e+17"
+        assert text[float(np.nextafter(1e17, 0.0))] == "99999999999999984"
+
+    def test_mixed_rows(self, tmp_path):
+        # every block mixes values the writer formats and values it hands
+        # to `%`, within a row and within a column
+        rng = np.random.default_rng(7)
+        n = 20_000
+        fast = rng.standard_normal(n) * 10.0 ** rng.integers(-4, 17, n)
+        other = rng.choice(self.SPECIAL + [1e-5, -2.5e17, 1e-310], n)
+        mixed = np.where(rng.random(n) < 0.5, fast[::-1], other)
+        self._written(tmp_path / "m.csv", [fast, other, mixed])
+
+    def test_bytes_do_not_depend_on_the_simd_dispatch(self, tmp_path):
+        # a 1e5-row samples.csv written by a child at numpy's default SIMD
+        # dispatch and by one limited to AVX2 (the variable names features
+        # this CPU may lack; numpy then ignores them)
+        rng = np.random.default_rng(23)
+        values = rng.standard_normal(100_000) * 10.0 ** rng.integers(
+            -6, 18, 100_000)
+        values[::97] = rng.choice(self.SPECIAL, values[::97].size)
+        np.save(tmp_path / "values.npy", values)
+        script = ("import hashlib, sys, numpy as np; from shorttime import cli;"
+                  "cli._write_csv(sys.argv[2], ['value'], np.load(sys.argv[1]));"
+                  "print(hashlib.sha256(open(sys.argv[2], 'rb').read())"
+                  ".hexdigest())")
+        digests = []
+        for features in ("", "AVX512_SPR AVX512_ICL X86_V4"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "values.npy"),
+                 str(tmp_path / "samples.csv")],
+                env=dict(_child_env(), NPY_DISABLE_CPU_FEATURES=features),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        want = _reference_csv(["value"], [values])
+        assert digests == [hashlib.sha256(want).hexdigest()] * 2
+
+    @pytest.mark.parametrize("shift", [-1.0, -0.5, 0.5, 1.0])
+    def test_the_exponent_guess_is_corrected(self, shift, tmp_path):
+        # log10 only guesses each exponent; a guess off by one, as another
+        # SIMD dispatch of log10 might give near a power of ten, is corrected
+        # by the exact digit count, so no byte depends on log10's last bit
+        rng = np.random.default_rng(11)
+        values = np.concatenate([
+            self._powers_of_ten(),
+            rng.standard_normal(5000) * 10.0 ** rng.integers(-4, 17, 5000)])
+        log10 = np.log10
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "log10", lambda a: log10(a) + shift)
+            self._written(tmp_path / "g.csv", [values])
 
 
 # Runs the CLI in a fresh interpreter whose own address space is capped at
@@ -1079,19 +1209,32 @@ class TestContract:
 
     @classmethod
     def _mutations(cls, cfg):
-        """cfg with each key, at every nesting level, dropped or set to
-        each of VALUES."""
-        for key, value in cfg.items():
-            yield {k: v for k, v in cfg.items() if k != key}
+        """cfg with each key of an object, or element of a list, at every
+        nesting level, dropped or set to each of VALUES."""
+        if isinstance(cfg, dict):
+            def put(key, new):
+                return dict(cfg, **{key: new})
+            items = cfg.items()
+        else:
+            def put(key, new):
+                return cfg[:key] + [new] + cfg[key + 1:]
+            items = enumerate(cfg)
+        for key, value in items:
+            yield ({k: v for k, v in cfg.items() if k != key}
+                   if isinstance(cfg, dict) else cfg[:key] + cfg[key + 1:])
             for new in cls.VALUES:
-                yield dict(cfg, **{key: new})
-            if isinstance(value, dict):
+                yield put(key, new)
+            if isinstance(value, (dict, list)):
                 for sub in cls._mutations(value):
-                    yield dict(cfg, **{key: sub})
+                    yield put(key, sub)
 
     def test_mutated_configs(self, tmp_path, capsys):
         out, broken = tmp_path / "out", []
-        for command, cfg in _config_ops():
+        ops = _config_ops()
+        # no pinned config holds a law: a density of two atoms stands in
+        ops += [(command, dict(cfg, law={"atoms": [[0.0, 0.5], [0.5, 0.5]]}))
+                for command, cfg in ops if command == "density"]
+        for command, cfg in ops:
             for mutated in self._mutations(self._shrunk(cfg)):
                 argv = [command, "--config",
                         write_cfg(tmp_path, "c.json", mutated),
