@@ -22,19 +22,15 @@ from .evolution import (
     GridDensity,
     compose_chapman,
     density_distance,
-    liouville_density,
     solve_fokker_planck,
 )
 from .girsanov import (
-    BrownianPath,
     ErrorEstimate,
     MCConfig,
     RateFit,
     approx_exponential,
-    approx_exponential_euler,
     lp_errors,
     rate_fit,
-    simulate_exponential,
     u_eval,
 )
 from .kernels import (
@@ -46,7 +42,7 @@ from .kernels import (
     marginal_density,
     normalization_defect,
 )
-from .lamperti import LampertiError, LampertiMap, QuadratureError
+from .lamperti import LampertiError, LampertiMap
 from .sampler import (
     SampleSet,
     girsanov_kernel_cdf,
@@ -56,15 +52,13 @@ from .sampler import (
 )
 
 __all__ = [
-    "AssumptionReport", "BrownianPath", "CompositionPlan",
-    "DriftDomainError", "DriftError", "DriftExpr", "DriftParseError",
-    "ErrorEstimate", "GridDensity", "GridSpec", "InitialLaw", "KernelKind",
-    "LampertiError", "LampertiMap", "MCConfig", "QuadratureError", "RateFit",
-    "SampleSet", "approx_exponential", "approx_exponential_euler",
-    "builtin_drift", "compose_chapman", "density_distance",
-    "girsanov_kernel_cdf", "kernel_eval", "kernel_matrix", "ks_distance",
-    "liouville_density", "lp_errors", "marginal_density",
-    "normalization_defect", "parse_drift", "rate_fit", "sample_crypto",
-    "sample_em_path", "simulate_exponential", "solve_fokker_planck",
-    "u_eval", "validate_assumption",
+    "AssumptionReport", "CompositionPlan", "DriftDomainError", "DriftError",
+    "DriftExpr", "DriftParseError", "ErrorEstimate", "GridDensity", "GridSpec",
+    "InitialLaw", "KernelKind", "LampertiError", "LampertiMap", "MCConfig",
+    "RateFit", "SampleSet", "approx_exponential", "builtin_drift",
+    "compose_chapman", "density_distance", "girsanov_kernel_cdf",
+    "kernel_eval", "kernel_matrix", "ks_distance", "lp_errors",
+    "marginal_density", "normalization_defect", "parse_drift", "rate_fit",
+    "sample_crypto", "sample_em_path", "solve_fokker_planck", "u_eval",
+    "validate_assumption",
 ]

@@ -20,7 +20,7 @@ from . import evolution, girsanov, kernels, sampler
 from .drift import DriftError
 from .evolution import BoundaryError, CompositionPlan, GridMismatchError, InstabilityError
 from .kernels import GridSpec, InitialLaw, KernelKind, TailMassError
-from .lamperti import LampertiError, LampertiMap
+from .lamperti import _BLOCK_CELLS, LampertiError, LampertiMap
 
 _DOMAIN_ERRORS = (
     DriftError, LampertiError, TailMassError, BoundaryError,
@@ -353,7 +353,7 @@ def _cmd_density(cfg, out):
 
 def _mc_config(cfg, n_horizons):
     """The mc sub-object for a pass over n_horizons horizons; its row
-    blocks hold girsanov._BLOCK_CELLS cells, so only its work counts."""
+    blocks hold _BLOCK_CELLS cells, so only its work counts."""
     mc = _require(cfg, "mc")
     n_paths = _num(mc, "n_paths", count=True)
     n_steps = _num(mc, "n_steps", count=True)
@@ -421,8 +421,7 @@ def _cmd_compose(cfg, out):
             "kind": plan.kind.value}
     if steps:
         oracle = evolution.solve_fokker_planck(m, T, xp, grid, steps)
-        meta["distance_to_oracle"] = evolution.density_distance(
-            dens, oracle, "L1")
+        meta["distance_to_oracle"] = evolution.density_distance(dens, oracle)
     csv_path = os.path.join(out, "compose.csv")
     _write_csv(csv_path, ["x", "density"], grid.points(), dens.values)
     meta_path = os.path.join(out, "compose_meta.json")
@@ -466,10 +465,12 @@ def _cmd_sample(cfg, out):
     # Euler-Maruyama step is one drift call per RNG chunk of samples, and
     # its normals fill the draw-ahead worker's _AHEAD + 1 blocks of up to
     # _BLOCK_CELLS values (at most 8 n + 4.91 blocks, at n = 1,000)
-    blocks = (girsanov._AHEAD + 1) * girsanov._BLOCK_CELLS if em else 0
+    blocks = (girsanov._AHEAD + 1) * _BLOCK_CELLS if em else 0
     _budget("sample.n x sample.n_steps" if em else "sample.n",
             cells=8 * n + blocks,
             work=steps * (n + -(-n // sampler._CHUNK) * _CALL_WORK))
+    if output == "summary" and n < 2:  # the sample variance needs two
+        raise ConfigError("a sample summary needs 'sample.n' of at least 2")
     s = (sampler.sample_em_path(m, xp, T, steps, n, seed) if em
          else sampler.sample_crypto(m, xp, T, n, seed))
     meta = {"scheme": scheme, "n": n, "seed": seed}

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _BLOCK_CELLS
-from .lamperti import _result
+from .lamperti import _BLOCK_CELLS, _result
 
 
 class DriftError(Exception):
@@ -516,8 +515,20 @@ def drift_from_config(cfg):
     raise DriftError("drift config needs an 'expr' or 'builtin' key")
 
 
+def _finite_jets(d, x):
+    """(f, f', f'') at x, with no floating-point warnings; DriftDomainError
+    where evaluation breaks down or one of them is not finite."""
+    with np.errstate(all="ignore"):
+        jets = d.jets(x)
+    if not all(np.all(np.isfinite(v)) for v in jets):
+        raise DriftDomainError("f, f' or f'' is not finite")
+    return jets
+
+
 def validate_assumption(d, scan_range, epsilon, n):
     """Scan f over n equispaced points; pass iff min f stays above epsilon.
+    DriftDomainError names the first point where f, f' or f'' cannot be
+    evaluated or is not finite.
 
     Global boundedness cannot be certified from a finite scan, so the range
     is caller-chosen and reported back verbatim.
@@ -536,21 +547,21 @@ def validate_assumption(d, scan_range, epsilon, n):
     for b in range(0, n, _BLOCK_CELLS):
         block = xs[b:b + _BLOCK_CELLS]
         try:
-            f, f1, f2 = d.jets(block)
+            f, f1, f2 = _finite_jets(d, block)
         except DriftDomainError:
-            # bisect for the first point where evaluation breaks down: a
-            # slice fails iff one of its points does, so block[i:j] holds it
+            # bisect for the first point where _finite_jets fails: a slice
+            # fails iff one of its points does, so block[i:j] holds it
             i, j = 0, block.size
             while j - i > 1:
                 mid = (i + j) // 2
                 try:
-                    d.jets(block[i:mid])
+                    _finite_jets(d, block[i:mid])
                     i = mid
                 except DriftDomainError:
                     j = mid
             x = float(block[i])
             try:
-                d.jets(x)
+                _finite_jets(d, x)
             except DriftDomainError as exc:
                 raise DriftDomainError(f"{exc} at x={x!r}") from None
             raise

@@ -1,6 +1,5 @@
-"""Density propagation: transport solution with Gaussian initial data,
-Chapman-Kolmogorov composition of short-time kernels, and a Crank-Nicolson
-Fokker-Planck reference solver.
+"""Density propagation: Chapman-Kolmogorov composition of short-time
+kernels, and a Crank-Nicolson Fokker-Planck reference solver.
 """
 
 from __future__ import annotations
@@ -10,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (KernelKind, _check_tails, _gaussian, _kernel_band,
-                      kernel_matrix)
-from .lamperti import _check_horizon, _result
+from .kernels import KernelKind, _check_tails, _kernel_band, kernel_matrix
+from .lamperti import _check_horizon
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -56,18 +54,6 @@ class CompositionPlan:
     @property
     def tau(self):
         return self.total_time / self.n_slices
-
-
-def liouville_density(m, t, T, x, x_prime):
-    """Transport of a Gaussian(x', T) initial density along the drift flow.
-
-    At t = T this coincides with the girsanov short-time kernel.
-    """
-    _check_horizon(T, t)
-    y, ratio = m.transport(x, t)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * T)
-    return _result(_gaussian(y, np.asarray(x_prime, dtype=float), T,
-                             ratio * norm, 0.0))
 
 
 def _trapezoid_weights(grid):
@@ -178,13 +164,8 @@ def _check_on_grid(label, x, grid):
                             f"the grid [{grid.x_min!r}, {grid.x_max!r}]")
 
 
-def density_distance(a, b, metric="L1"):
-    """Trapezoid L1 or pointwise sup distance between two grid densities."""
+def density_distance(a, b):
+    """Trapezoid L1 distance between two grid densities."""
     if a.grid != b.grid:
         raise GridMismatchError("densities live on different grids")
-    diff = np.abs(a.values - b.values)
-    if metric == "L1":
-        return float(_trapezoid(diff, dx=a.grid.dx))
-    if metric == "sup":
-        return float(np.max(diff))
-    raise ValueError(f"unknown metric {metric!r}")
+    return float(_trapezoid(np.abs(a.values - b.values), dx=a.grid.dx))

@@ -1,5 +1,5 @@
-"""Girsanov exponential: Ito-sum simulation, deterministic approximations,
-and Monte Carlo measurement of the L^p gap against the horizon length.
+"""Girsanov exponential: its deterministic stand-in u(T, B_T), and Monte
+Carlo measurement of the L^p gap between the two against the horizon length.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lamperti import _check_horizon, _result
+from .lamperti import _BLOCK_CELLS, _check_horizon, _result
 
 _CHUNK = 2048  # paths per RNG chunk; fixes seeding independent of workers
-_BLOCK_CELLS = 1 << 16  # path cells per row block: z, inc and B fit in L2
 _AHEAD = 4  # row blocks of normals drawn ahead of the reduction
 _SPIN_S = 0.005  # longest wait for a block spent spinning, not asleep
 
@@ -36,35 +35,6 @@ def chunks(n, size, seed):
     covering n draws; each chunk has its own seed, independent of workers."""
     for i, start in enumerate(range(0, n, size)):
         yield chunk_rng(seed, i), min(size, n - start)
-
-
-@dataclass(frozen=True)
-class BrownianPath:
-    """A discretized Brownian trajectory on [0, horizon]."""
-
-    horizon: float
-    n_steps: int
-    increments: np.ndarray
-    seed: int
-
-    @classmethod
-    def generate(cls, horizon, n_steps, seed):
-        _check_horizon(horizon)
-        if n_steps < 1:
-            raise ValueError("need at least one step")
-        rng = np.random.default_rng(seed)
-        dt = horizon / n_steps
-        inc = rng.standard_normal(n_steps) * math.sqrt(dt)
-        return cls(horizon=float(horizon), n_steps=int(n_steps),
-                   increments=inc, seed=int(seed))
-
-    @property
-    def dt(self):
-        return self.horizon / self.n_steps
-
-    def cumulative(self):
-        """B at the grid times, including B_0 = 0."""
-        return np.concatenate([[0.0], np.cumsum(self.increments)])
 
 
 @dataclass(frozen=True)
@@ -95,15 +65,6 @@ class RateFit:
     points: list = field(default_factory=list)  # (log T, log error)
 
 
-def simulate_exponential(m, path):
-    """Girsanov exponential from left-point (Ito) sums on the path grid."""
-    b = path.cumulative()
-    f = m.drift_at(b[:-1])
-    ito = float(f @ path.increments)
-    quad = float(np.sum(f * f)) * path.dt
-    return math.exp(ito - 0.5 * quad)
-
-
 def u_eval(m, t, x, T):
     """Solution of the drift-transport problem with source x/T, at (t, x).
 
@@ -125,18 +86,6 @@ def _u(y, x, ratio, T):
 def approx_exponential(m, b_T, T):
     """Deterministic stand-in for the Girsanov exponential: u(T, B_T)."""
     return u_eval(m, T, b_T, T)
-
-
-def approx_exponential_euler(m, b_T, T):
-    """Alternative closed form using the drift frozen at the start point:
-    u's form with y = B_T - F(0) T and ratio 1,
-
-    exp{-(1/2T)[(B_T - F(0) T)^2 - B_T^2]} = exp{F(0) B_T - F(0)^2 T / 2};
-    coincides with approx_exponential for constant drift.
-    """
-    _check_horizon(T)
-    b = np.asarray(b_T, dtype=float)
-    return _u(b - float(m.drift_at(0.0)) * T, b, 1.0, T)
 
 
 def lp_errors(m, horizons, cfg, p_values):

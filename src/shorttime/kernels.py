@@ -11,12 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lamperti import _GL16_W, _GL16_X, _check_horizon, _result
+from .lamperti import _BLOCK_CELLS, _GL16_W, _GL16_X, _check_horizon, _result
 
-# Cells per row block of _fill, nodes per block of _integrate_kernel and
-# points per block of drift.validate_assumption: 512 KiB of float64, well
-# inside L2.
-_BLOCK_CELLS = 1 << 16
 # Half-width of _kernel_band in standard deviations sqrt(T): a cell further
 # out is below exp(-_BAND_SIGMAS^2 / 2) = 1e-16 of its row's peak.
 _BAND_SIGMAS = math.sqrt(2.0 * math.log(1e16))

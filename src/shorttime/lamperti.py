@@ -15,11 +15,8 @@ import numpy as np
 
 
 class LampertiError(Exception):
-    """Base class for map evaluation failures."""
-
-
-class QuadratureError(LampertiError):
-    """A table for Lambda passed its cell budget."""
+    """A map evaluation failed: a bad input, a drift outside the bounds, or
+    a table for Lambda past its cell budget."""
 
 
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
@@ -45,6 +42,12 @@ def _floats(name, v):
     if not np.all(finite):
         raise LampertiError(f"non-finite {name}={float(v[~finite][0])!r}")
     return v
+
+
+# Cells (or points) per block of the row-blocked loops: girsanov's paths,
+# kernels' _fill and _integrate_kernel, sampler's Euler-Maruyama steps and
+# drift.validate_assumption's scan.  512 KiB of float64, well inside L2.
+_BLOCK_CELLS = 1 << 16
 
 
 def _result(out):
@@ -78,7 +81,7 @@ def _hermite(x, p, d1, d2):
 
 def _over_budget(a, b):
     """The error for a table that covering [a, b] would take past budget."""
-    return QuadratureError(
+    return LampertiError(
         f"covering [{float(a)!r}, {float(b)!r}] needs more than the "
         f"table's budget of {_MAX_NODES} cells")
 

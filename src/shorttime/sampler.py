@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .girsanov import _BLOCK_CELLS, _normals, chunks
-from .lamperti import _check_horizon, _result
+from .girsanov import _normals, chunks
+from .lamperti import _BLOCK_CELLS, _check_horizon, _result
 
 _CHUNK = 1 << 16  # samples per derived seed; output independent of workers
 

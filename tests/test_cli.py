@@ -57,6 +57,21 @@ class TestValidateCommand:
         assert code == 0
         assert manifest["passed"] is False
 
+    def test_overflowing_drift_is_a_domain_error(self, tmp_path, capsys):
+        # exp(x) overflows past x = 709.78: exit 1 naming the first scan
+        # point past it, and no report holding Infinity
+        cfg = write_cfg(tmp_path, "c.json", {
+            "drift": {"expr": "exp(x)"}, "scan_range": [0, 1000],
+            "epsilon": 0.5,
+        })
+        code, payload = run(capsys, "validate", "--config", cfg,
+                            "--out-dir", str(tmp_path))
+        assert code == 1
+        assert payload["error"] == {
+            "kind": "domain", "module": "drift",
+            "message": "f, f' or f'' is not finite at x=710.0"}
+        assert not (tmp_path / "validate_report.json").exists()
+
 
 class TestFlowCommand:
     def test_constant_drift(self, tmp_path, capsys):
@@ -522,6 +537,35 @@ class TestSampleCommand:
                             "--out-dir", str(tmp_path))
         assert code == 2
         assert payload["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize("scheme", ["crypto", "euler_maruyama_path"])
+    def test_one_sample_summary_is_refused(self, scheme, tmp_path, capsys,
+                                           monkeypatch):
+        # a summary's sample variance needs two samples (one gives NaN, not
+        # JSON): a config error before any draw; a CSV of one sample is
+        # still written
+        def drawn(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(cli.sampler, "sample_crypto", drawn)
+        monkeypatch.setattr(cli.sampler, "sample_em_path", drawn)
+        cfg = {"drift": COS, "T": 0.1, "x_prime": 0.0,
+               "sample": {"n": 1, "n_steps": 4, "scheme": scheme}}
+        code, payload = run(capsys, "sample", "--config",
+                            write_cfg(tmp_path, "c.json", cfg),
+                            "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert payload["error"]["message"] == (
+            "a sample summary needs 'sample.n' of at least 2")
+        assert not any((tmp_path / "out").iterdir())
+        monkeypatch.undo()
+        cfg["sample"]["output"] = "csv"
+        code, _ = run(capsys, "sample", "--config",
+                      write_cfg(tmp_path, "c.json", cfg),
+                      "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        rows = (tmp_path / "out" / "samples.csv").read_text().splitlines()
+        assert len(rows) == 2
 
 
 class TestDeterminismAndErrors:
@@ -1185,13 +1229,22 @@ class TestErrorModule:
         assert payload["error"]["module"] == module
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and the infinities, which no strict JSON
+    reader accepts."""
+    def refuse(constant):
+        raise ValueError(f"non-finite {constant} in JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestContract:
     """Every configs/*.json, shrunk, with one key at any nesting level
     dropped or set to a value of another kind, ends as main promises: exit
-    0, 1 or 2 with one JSON line on stdout, no artifact on a config error,
-    and on a domain error a module of shorttime's named, not builtins."""
+    0, 1 or 2 with one strict JSON line on stdout, strict JSON in every
+    JSON artifact, no artifact on a config error, and on a domain error a
+    module of shorttime's named, not builtins."""
 
-    VALUES = ["x", [], {}, True, None, -1, 0, 0.5, 1e300, -1e300, [1.0],
+    VALUES = ["x", [], {}, True, None, -1, 0, 1, 0.5, 1e300, -1e300, [1.0],
               {"a": 1}]
 
     @staticmethod
@@ -1243,7 +1296,9 @@ class TestContract:
                     code = cli.main(argv)
                     lines = capsys.readouterr().out.splitlines()
                     assert code in (0, 1, 2) and len(lines) == 1
-                    error = json.loads(lines[0]).get("error", {})
+                    error = _strict_json(lines[0]).get("error", {})
+                    for artifact in out.glob("*.json"):
+                        _strict_json(artifact.read_text())
                     assert code != 2 or not out.exists() or not any(
                         out.iterdir())
                     assert code != 1 or error.get("module") != "builtins"

@@ -1,6 +1,7 @@
 import math
 import operator
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,20 @@ class TestValidateAssumption:
     def test_domain_error_reports_point(self):
         with pytest.raises(DriftDomainError, match="at x="):
             validate_assumption(parse_drift("1/x"), (-1, 1), 0.1, 3)
+
+    @pytest.mark.parametrize("text, x", [
+        ("exp(x)", 710.0),  # f, f' and f'' overflow
+        ("1/(1 + exp(x))", 710.0),  # f = 0 is finite, f' = nan is not
+    ])
+    def test_non_finite_jets_are_a_domain_error(self, text, x):
+        # the first scan point where f, f' or f'' is not finite, found by
+        # the bisection, and no floating-point warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DriftDomainError) as exc:
+                validate_assumption(parse_drift(text), (0.0, 1000.0), 0.5,
+                                    2001)
+        assert str(exc.value) == f"f, f' or f'' is not finite at x={x!r}"
 
     def test_failing_scan_is_bisected(self, monkeypatch):
         # the first failing point comes from O(log n) array calls, not a

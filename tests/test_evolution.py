@@ -19,12 +19,12 @@ from shorttime import (
     density_distance,
     kernel_eval,
     kernel_matrix,
-    liouville_density,
     parse_drift,
     solve_fokker_planck,
 )
 from shorttime.evolution import (BoundaryError, GridMismatchError,
                                   _trapezoid_weights)
+from reference import liouville_density
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
 BENCH_DRIFTS = {"two_plus_cos": TWO_PLUS_COS,
@@ -279,7 +279,6 @@ class TestDensityDistance:
         a = GridDensity(grid=g, values=vals, time=1.0)
         b = GridDensity(grid=g, values=vals.copy(), time=1.0)
         assert density_distance(a, b) == 0.0
-        assert density_distance(a, b, metric="sup") == 0.0
 
     def test_gaussian_l1_closed_form(self):
         # same-mean Gaussians cross at +-xc; L1 = 4 (Phi(xc/s1) - Phi(xc/s2))
@@ -294,9 +293,6 @@ class TestDensityDistance:
         # trapezoid accuracy is limited by the kink of |a - b| at the
         # crossing points, not by the smooth tails
         assert density_distance(a, b) == pytest.approx(expected, abs=1e-6)
-        sup_expected = (1.0 / s1 - 1.0 / s2) / math.sqrt(2 * math.pi)
-        assert density_distance(a, b, metric="sup") == pytest.approx(
-            sup_expected, rel=1e-6)
 
     def test_grid_mismatch(self):
         a = GridDensity(grid=GridSpec(-1, 1, 11), values=np.zeros(11),
@@ -305,9 +301,3 @@ class TestDensityDistance:
                         time=0.0)
         with pytest.raises(GridMismatchError):
             density_distance(a, b)
-
-    def test_unknown_metric(self):
-        g = GridSpec(-1, 1, 11)
-        a = GridDensity(grid=g, values=np.zeros(11), time=0.0)
-        with pytest.raises(ValueError):
-            density_distance(a, a, metric="L7")

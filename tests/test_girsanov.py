@@ -8,20 +8,19 @@ import numpy as np
 import pytest
 
 from shorttime import (
-    BrownianPath,
     LampertiMap,
     MCConfig,
     approx_exponential,
-    approx_exponential_euler,
     builtin_drift,
     lp_errors,
     parse_drift,
     rate_fit,
-    simulate_exponential,
     u_eval,
 )
 from shorttime import girsanov
 from shorttime.girsanov import chunk_rng
+from reference import (BrownianPath, approx_exponential_euler,
+                       simulate_exponential)
 
 TWO_PLUS_COS = parse_drift("2 + cos(x)")
 
