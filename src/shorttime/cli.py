@@ -7,6 +7,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -302,12 +303,7 @@ def _write_json(path, obj):
 def _cmd_validate(cfg, out):
     report = _assumption(cfg, _build_drift(cfg))
     path = os.path.join(out, "validate_report.json")
-    _write_json(path, {
-        "f_min": report.f_min, "f_max": report.f_max,
-        "f1_max_abs": report.f1_max_abs, "f2_max_abs": report.f2_max_abs,
-        "epsilon": report.epsilon, "scan_range": list(report.scan_range),
-        "n_samples": report.n_samples, "passed": report.passed,
-    })
+    _write_json(path, dataclasses.asdict(report))
     return [path], {"passed": report.passed}
 
 

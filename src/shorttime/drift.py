@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,9 @@ class DriftDomainError(DriftError):
 
 _FUNCTIONS = ("sin", "cos", "exp", "tanh")
 _EPS = np.finfo(float).eps
-_MAX_DEPTH = 100  # AST nesting, far inside the recursive emitter's stack
+# nesting of the source and of its AST, far inside the stack of the
+# recursive parser and emitter
+_MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -112,142 +115,91 @@ def _div(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / recursive-descent parser.  AST nodes are plain tuples:
+# Tokenizer and precedence-climbing parser.  AST nodes are plain tuples:
 #   ("num", value) ("x",) ("neg", e) ("add"|"sub"|"mul"|"div", l, r)
 #   ("pow", base, float_exponent) ("call", name, arg)
 
+# a number, a name, or any other single character; whitespace is skipped
+_TOKEN = re.compile(r"(?P<num>[\d.]+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[^\W\d]\w*)|\S")
+# each infix operator's node, its binding power, and that of its right
+# operand: ^ is right-associative, its right operand taking a further ^
+_INFIX = {"+": ("add", 1, 1), "-": ("sub", 1, 1), "*": ("mul", 2, 2),
+          "/": ("div", 2, 2), "^": ("pow", 4, 3)}
+_PREFIX = 3  # a sign's operand: -x^2 is -(x^2), -x*2 is (-x)*2
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+
+
 def _tokenize(source):
+    """(kind, value, position) of each token, then ("end", ...)."""
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
+    for m in _TOKEN.finditer(source):
+        text, i = m.group(), m.start()
+        if m.lastgroup == "num":
             try:
-                value = float(source[i:j])
+                tokens.append(("num", float(text), i))
             except ValueError:
-                raise DriftParseError(f"bad number {source[i:j]!r}", i)
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-            continue
-        raise DriftParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+                raise DriftParseError(f"bad number {text!r}", i) from None
+        elif m.lastgroup == "name":
+            tokens.append(("name", text, i))
+        elif text in "+-*/^()":
+            tokens.append((text, text, i))
+        else:
+            raise DriftParseError(f"unexpected character {text!r}", i)
+    tokens.append(("end", "end of input", len(source)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _expect(tokens, kind):
+    found, value, pos = tokens.pop()
+    if found != kind:
+        raise DriftParseError(f"expected {kind!r}, found {value!r}", pos)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise DriftParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise DriftParseError(f"trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek()[0] == "-":
-            tok = self.next()
-            return ("neg", self.factor())
-        if self.peek()[0] == "+":
-            self.next()
-            return self.factor()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            tok = self.next()
-            exponent = self.factor()
-            if _contains_x(exponent):
-                raise DriftParseError("exponent must be constant", tok[2])
-            n = float(_taylor(exponent, 0.0, 0)[0])
-            if not math.isfinite(n):
-                raise DriftParseError("exponent must be finite", tok[2])
-            return ("pow", base, n)
-        return base
-
-    def atom(self):
-        tok = self.next()
-        kind, value, pos = tok
-        if kind == "num":
-            return ("num", value)
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if kind == "name":
-            if value == "x":
-                return ("x",)
-            if value in _FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return ("call", value, arg)
-            if value == "pi":
-                return ("num", math.pi)
-            if value == "e":
-                return ("num", math.e)
-            if value in ("sqrt", "log", "ln", "tan", "abs"):
-                raise DriftParseError(f"unsupported function {value!r}", pos)
-            raise DriftParseError(f"unknown identifier {value!r}", pos)
+def _expr(tokens, bp, depth):
+    """The expression at the end of tokens (in reverse order, consumed from
+    the end), up to an infix operator that binds no tighter than bp.  Every
+    parenthesis, call argument, sign operand and right operand is parsed one
+    level deeper, so past _MAX_DEPTH levels the parse ends, not the stack."""
+    kind, value, pos = tokens.pop()
+    if depth > _MAX_DEPTH:
+        raise DriftParseError(f"nested deeper than {_MAX_DEPTH} levels", pos)
+    if kind in ("+", "-"):
+        node = _expr(tokens, _PREFIX, depth + 1)
+        if kind == "-":
+            node = ("neg", node)
+    elif kind == "(":
+        node = _expr(tokens, 0, depth + 1)
+        _expect(tokens, ")")
+    elif kind == "num":
+        node = ("num", value)
+    elif kind != "name":
         raise DriftParseError(f"unexpected token {value!r}", pos)
+    elif value == "x":
+        node = ("x",)
+    elif value in _FUNCTIONS:
+        _expect(tokens, "(")
+        node = ("call", value, _expr(tokens, 0, depth + 1))
+        _expect(tokens, ")")
+    elif value in _CONSTANTS:
+        node = ("num", _CONSTANTS[value])
+    elif value in ("sqrt", "log", "ln", "tan", "abs"):
+        raise DriftParseError(f"unsupported function {value!r}", pos)
+    else:
+        raise DriftParseError(f"unknown identifier {value!r}", pos)
+    while (op := tokens[-1][0]) in _INFIX and _INFIX[op][1] > bp:
+        pos = tokens.pop()[2]
+        name, _, right_bp = _INFIX[op]
+        rhs = _expr(tokens, right_bp, depth + 1)
+        if op == "^":  # a constant exponent, folded to a float
+            if _contains_x(rhs):
+                raise DriftParseError("exponent must be constant", pos)
+            with np.errstate(all="ignore"):  # inf or nan is refused below
+                rhs = float(_taylor(rhs, 0.0, 0)[0])
+            if not math.isfinite(rhs):
+                raise DriftParseError("exponent must be finite", pos)
+        node = (name, node, rhs)
+    return node
 
 
 def _depth(node):
@@ -488,11 +440,12 @@ def parse_drift(source):
     if not isinstance(source, str):
         raise TypeError(f"drift expression must be a string, not "
                         f"{type(source).__name__}")
-    try:
-        ast = _Parser(_tokenize(source)).parse()
-    except RecursionError:  # the parser's own stack: nesting far past the cap
-        ast = None
-    if ast is None or _depth(ast) > _MAX_DEPTH:
+    tokens = _tokenize(source)[::-1]
+    ast = _expr(tokens, 0, 0)
+    kind, value, pos = tokens[-1]
+    if kind != "end":
+        raise DriftParseError(f"trailing input {value!r}", pos)
+    if _depth(ast) > _MAX_DEPTH:  # a long sum, built by a loop
         raise DriftParseError(f"nested deeper than {_MAX_DEPTH} levels", 0)
     return DriftExpr(ast=ast, source_text=source)
 

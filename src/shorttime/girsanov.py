@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .drift import DriftDomainError
 from .lamperti import _BLOCK_CELLS, _check_horizon, _result
 
 _CHUNK = 2048  # paths per RNG chunk; fixes seeding independent of workers
@@ -128,8 +129,11 @@ def lp_errors(m, horizons, cfg, p_values):
     b[:, 0] = 0.0
     total = [[0.0] * len(p_values) for _ in horizons]
     total_sq = [[0.0] * len(p_values) for _ in horizons]
-    with closing(_normals(chunks(cfg.n_paths, _CHUNK, cfg.base_seed), rows,
-                          n_steps)) as blocks:
+    # where F or F^2 is not finite on a path, its sum of F^2 is inf or nan:
+    # refused at the chunk's end, so the products' warnings are not shown
+    with np.errstate(over="ignore", invalid="ignore"), closing(_normals(
+            chunks(cfg.n_paths, _CHUNK, cfg.base_seed), rows,
+            n_steps)) as blocks:
         for k, lo, z in blocks:
             if lo == 0:
                 # per horizon and path: the Ito sum, the sum of F^2 and B_T
@@ -147,6 +151,12 @@ def lp_errors(m, horizons, cfg, p_values):
                 end[j, lo:lo + q] = b[:q, -1]
             if lo + q < k:
                 continue
+            finite = np.isfinite(quad)
+            if not finite.all():
+                j, i = np.argwhere(~finite)[0]
+                raise DriftDomainError(
+                    f"F^2 is not finite on the path to "
+                    f"x={float(end[j, i])!r} at T={horizons[j]!r}")
             for j, T in enumerate(horizons):
                 m_true = np.exp(ito[j] - 0.5 * (quad[j] * dts[j]))
                 d = np.abs(m_true - approx_exponential(m, end[j], T))

@@ -16,6 +16,8 @@ from .lamperti import _BLOCK_CELLS, _GL16_W, _GL16_X, _check_horizon, _result
 # Half-width of _kernel_band in standard deviations sqrt(T): a cell further
 # out is below exp(-_BAND_SIGMAS^2 / 2) = 1e-16 of its row's peak.
 _BAND_SIGMAS = math.sqrt(2.0 * math.log(1e16))
+# normalization_defect's largest change between its two panel counts
+_DEFECT_TOL = 1e-10
 
 
 class TailMassError(Exception):
@@ -202,7 +204,7 @@ def _check_tails(values, rel, error, label):
                     "widen the grid")
 
 
-def normalization_defect(kind, m, T, x_prime, grid, tol=1e-10):
+def normalization_defect(kind, m, T, x_prime, grid):
     """integral of the kernel over the grid range, minus 1.
 
     Guarded: boundary kernel values must be below 1e-12 of the peak so the
@@ -215,10 +217,9 @@ def normalization_defect(kind, m, T, x_prime, grid, tol=1e-10):
                                n_panels)
     fine = _integrate_kernel(kind, m, T, x_prime, grid.x_min, grid.x_max,
                              2 * n_panels)
-    if abs(fine - coarse) > tol:
-        raise TailMassError(
-            f"kernel quadrature did not settle: |{fine} - {coarse}| > {tol}"
-        )
+    if abs(fine - coarse) > _DEFECT_TOL:
+        raise TailMassError(f"kernel quadrature did not settle: |{fine} - "
+                            f"{coarse}| > {_DEFECT_TOL}")
     return fine - 1.0
 
 

@@ -624,6 +624,70 @@ class TestDeterminismAndErrors:
         assert (env_dir / "flow.csv").exists()
 
 
+class TestMainErrors:
+    """main's own error paths: each ends in one strict JSON line."""
+
+    @staticmethod
+    def _error(capsys, *argv):
+        code = cli.main(list(argv))
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        return code, _strict_json(lines[0])["error"]
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "c.json", [{"drift": COS}])
+        code, error = self._error(capsys, "flow", "--config", cfg,
+                                  "--out-dir", str(out))
+        assert (code, error) == (2, {"kind": "config", "message":
+                                     "config must be a JSON object"})
+        assert not out.exists()
+
+    def test_override_without_equals(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, "c.json", {
+            "drift": {"expr": "2"}, "t": 0.25, "x_values": [0.0],
+        })
+        code, error = self._error(capsys, "flow", "--config", cfg,
+                                  "--out-dir", str(out), "--set", "T")
+        assert (code, error) == (2, {"kind": "config", "message":
+                                     "bad override 'T'; expected K=V"})
+        assert not out.exists()
+
+    def test_memory_error_is_a_resource_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        def exhausted(cfg, out):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "flow", exhausted)
+        cfg = write_cfg(tmp_path, "c.json", {
+            "drift": {"expr": "2"}, "t": 0.25, "x_values": [0.0],
+        })
+        code, error = self._error(capsys, "flow", "--config", cfg,
+                                  "--out-dir", str(tmp_path))
+        assert (code, error) == (1, {"kind": "resource",
+                                     "message": "MemoryError"})
+
+    def test_overflowing_drift_names_a_finite_point(self, tmp_path):
+        # F = exp(700 + x): F^2 and F F' overflow where F and 1/F do not.
+        # Run as a process: exit 1 naming a finite x, not x=nan, and no
+        # overflow warning on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "shorttime.cli", "rate", "--config",
+             os.path.join(_ROOT, "configs", "rate_study.json"),
+             "--out-dir", str(tmp_path), "--set", 'drift={"expr": "exp(x)"}',
+             "--set", "alpha=700", "--set",
+             'mc={"n_paths": 64, "n_steps": 16, "base_seed": 1}'],
+            env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        (line,) = proc.stdout.splitlines()
+        message = _strict_json(line)["error"]["message"]
+        assert math.isfinite(float(message.split("x=")[1].split()[0]
+                                   .rstrip(";")))
+        assert not (tmp_path / "rate_fit.json").exists()
+
+
 class TestNonFiniteConfig:
     """json reads NaN, Infinity and 1e999 as floats; each must exit 2 before
     any artifact is written."""

@@ -1,5 +1,7 @@
 import math
 import operator
+import re
+import sys
 import tracemalloc
 import warnings
 
@@ -67,6 +69,40 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(DriftParseError):
             parse_drift("x + 1 )")
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("1.2.3", "bad number '1.2.3'", 0),
+        ("2 * .", "bad number '.'", 4),
+        ("x # 1", "unexpected character '#'", 2),
+        ("cos x", "expected '(', found 'x'", 4),
+        ("x**2", "unexpected token '*'", 2),
+        ("", "end of input", 0),
+        ("2 +", "end of input", 3),
+        ("cos(", "end of input", 4),
+        ("(x", "expected ')', found 'end of input'", 2),
+    ])
+    def test_error_names_the_token_and_position(self, text, message,
+                                                 position):
+        with pytest.raises(DriftParseError, match=re.escape(message)) as exc:
+            parse_drift(text)
+        assert exc.value.position == position
+
+    def test_unary_plus_and_constants(self):
+        assert parse_drift("+x").ast == ("x",)
+        assert parse_drift("2*+x").ast == ("mul", ("num", 2.0), ("x",))
+        assert parse_drift("pi + e").ast == ("add", ("num", math.pi),
+                                             ("num", math.e))
+
+    def test_signs_powers_and_associativity(self):
+        assert parse_drift("-x^2").ast == ("neg", ("pow", ("x",), 2.0))
+        assert parse_drift("-x*2").ast == ("mul", ("neg", ("x",)),
+                                           ("num", 2.0))
+        # ^ is right-associative, its exponent a folded signed constant
+        assert parse_drift("x^3^0.5").ast == ("pow", ("x",), 3.0 ** 0.5)
+        assert parse_drift("x^-2*3").ast == (
+            "mul", ("pow", ("x",), -2.0), ("num", 3.0))
+        assert parse_drift("1 - x - 2").ast == (
+            "sub", ("sub", ("num", 1.0), ("x",)), ("num", 2.0))
 
     @pytest.mark.parametrize("source", [1.0, ["x"], None])
     def test_non_string_source_rejected(self, source):
@@ -565,6 +601,51 @@ def test_programs_match_the_recursive_evaluator(ast, x):
                      _outcome(lambda: _ref_jets(ast, shifted, 1)))
 
 
+# binding powers: + - at 1, * / at 2, a sign at 3, ^ at 4 (its base binds
+# tighter still), and a number, x or call at 5
+_BINARY = {"add": (1, "+"), "sub": (1, "-"), "mul": (2, "*"),
+           "div": (2, "/")}
+
+
+def _print_minimal(node):
+    """(source text, binding power) of an AST, with only the parentheses
+    that the binding powers need: none around an operand that binds at
+    least as tight as its place asks, and a right operand of + - * / must
+    bind strictly tighter (they are left-associative)."""
+    def operand(child, bp):
+        text, own = _print_minimal(child)
+        return text if own >= bp else f"({text})"
+
+    kind = node[0]
+    if kind == "num":
+        text = repr(node[1])
+        return text, 3 if text.startswith("-") else 5  # -1.5 is a sign
+    if kind == "x":
+        return "x", 5
+    if kind == "call":
+        return f"{node[1]}({_print_minimal(node[2])[0]})", 5
+    if kind == "neg":
+        return "-" + operand(node[1], 3), 3
+    if kind == "pow":
+        return f"{operand(node[1], 5)}^{node[2]!r}", 4
+    bp, op = _BINARY[kind]
+    return f"{operand(node[1], bp)} {op} {operand(node[2], bp + 1)}", bp
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(ast=hs.recursive(_leaf_any, _extend_any, max_leaves=12))
+def test_minimal_parentheses_roundtrip(ast):
+    # text with no more parentheses than precedence and associativity need
+    # parses to the tree of the fully parenthesized text (a negative
+    # literal to a sign on its magnitude in both), and so to equal values
+    text = _print_minimal(ast)[0]
+    assert parse_drift(text).ast == parse_drift(_print_ast(ast)).ast
+    d, ref = parse_drift(text), _make_expr(ast)
+    for x in (-1.5, 0.25, 2.0):
+        _assert_same(_outcome(lambda: (d(x),)), _outcome(lambda: (ref(x),)))
+
+
 @pytest.mark.parametrize("text, calls, buffers", [
     ("2 + cos(x)", 6, 2), ("2 + sin(x)*cos(x)", 10, 4)])
 def test_programs_drop_identities_and_repeats(text, calls, buffers):
@@ -630,3 +711,18 @@ class TestNestingCap:
         d = parse_drift("+".join(["x"] * 50))
         assert d(0.5) == 25.0
         assert parse_drift("(" * 60 + "x" + ")" * 60)(0.5) == 0.5
+
+    @pytest.mark.parametrize("frames", [0, 800])
+    def test_cap_does_not_depend_on_the_stack(self, frames):
+        # 100 levels of parentheses parse and 101 do not, also when called
+        # from deep in the caller's own recursion
+        def nest(n):
+            return "(" * n + "x" + ")" * n
+
+        def at_depth(k, call):
+            return call() if k == 0 else at_depth(k - 1, call)
+
+        assert sys.getrecursionlimit() >= 1000
+        assert at_depth(frames, lambda: parse_drift(nest(100))).ast == ("x",)
+        with pytest.raises(DriftParseError, match="nested deeper"):
+            at_depth(frames, lambda: parse_drift(nest(101)))

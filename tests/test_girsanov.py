@@ -2,6 +2,7 @@ import math
 import queue
 import sys
 import threading
+import warnings
 from collections import deque
 
 import numpy as np
@@ -18,6 +19,7 @@ from shorttime import (
     u_eval,
 )
 from shorttime import girsanov
+from shorttime.drift import DriftDomainError
 from shorttime.girsanov import chunk_rng
 from reference import (BrownianPath, approx_exponential_euler,
                        simulate_exponential)
@@ -328,6 +330,18 @@ class TestLpErrors:
         monkeypatch.setattr(girsanov, "chunk_rng", None)  # any pass would fail
         cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
         assert lp_errors(LampertiMap(TWO_PLUS_COS), [0.1], cfg, []) == [[]]
+
+    def test_overflowing_square_is_a_domain_error(self):
+        # F = 1e160 + cos x is finite, and so are 1/F and F F', but F^2 is
+        # not: refused, with no warning, not an estimate from M_T = 0
+        m = LampertiMap(parse_drift("1e160 + cos(x)"))
+        cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DriftDomainError,
+                               match=r"F\^2 is not finite on the path to "
+                                     r"x=-?\d"):
+                lp_errors(m, [0.05, 0.1], cfg, [1.0])
 
 
 def _same(ests, refs):

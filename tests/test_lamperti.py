@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,19 @@ class TestFlowGuards:
         m = LampertiMap(TWO_PLUS_COS)
         assert m.lambda_map(1e4) == pytest.approx(
             float(lambda_cos_exact(1e4)), abs=1e-6)
+
+    def test_overflowing_inverse_curvature_names_a_knot(self):
+        # F = exp(700 + x) and 1/F are finite near 0, but the inverse's
+        # second derivative F F' is not: refused at a knot, with no warning,
+        # not at x = nan after its Hermite cells turned to nan
+        m = LampertiMap(parse_drift("exp(x)"), alpha=700.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LampertiError) as exc:
+                m.flow(0.0, 0.1)
+        assert "F F' is not finite at x=" in str(exc.value)
+        x = float(str(exc.value).split("x=")[1].split(";")[0])
+        assert math.isfinite(x) and abs(x) <= 1.0
 
     @pytest.mark.xfail(raises=LampertiError, strict=True,
                        reason="the table grows by whole lattice cells, and "
