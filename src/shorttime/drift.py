@@ -159,14 +159,19 @@ def _expect(tokens, kind):
 def _expr(tokens, bp, depth):
     """The expression at the end of tokens (in reverse order, consumed from
     the end), up to an infix operator that binds no tighter than bp.  Every
-    parenthesis, call argument, sign operand and right operand is parsed one
-    level deeper, so past _MAX_DEPTH levels the parse ends, not the stack."""
+    parenthesis, call argument and exponent is parsed one level deeper, so
+    past _MAX_DEPTH levels the parse ends, not the stack.  A run of signs or
+    a right operand of + - * / stays at its level (as deep as the tree, which
+    parse_drift caps), and at most four frames are spent per level."""
     kind, value, pos = tokens.pop()
     if depth > _MAX_DEPTH:
         raise DriftParseError(f"nested deeper than {_MAX_DEPTH} levels", pos)
-    if kind in ("+", "-"):
-        node = _expr(tokens, _PREFIX, depth + 1)
-        if kind == "-":
+    if kind in ("+", "-"):  # a run of signs, read by a loop
+        minus = kind == "-"
+        while tokens[-1][0] in ("+", "-"):
+            minus += tokens.pop()[0] == "-"
+        node = _expr(tokens, _PREFIX, depth)
+        for _ in range(minus):
             node = ("neg", node)
     elif kind == "(":
         node = _expr(tokens, 0, depth + 1)
@@ -190,8 +195,11 @@ def _expr(tokens, bp, depth):
     while (op := tokens[-1][0]) in _INFIX and _INFIX[op][1] > bp:
         pos = tokens.pop()[2]
         name, _, right_bp = _INFIX[op]
-        rhs = _expr(tokens, right_bp, depth + 1)
+        rhs = _expr(tokens, right_bp, depth + (op == "^"))
         if op == "^":  # a constant exponent, folded to a float
+            if _depth(rhs) > _MAX_DEPTH:  # a long sum, before recursing on it
+                raise DriftParseError(
+                    f"nested deeper than {_MAX_DEPTH} levels", pos)
             if _contains_x(rhs):
                 raise DriftParseError("exponent must be constant", pos)
             with np.errstate(all="ignore"):  # inf or nan is refused below

@@ -129,11 +129,8 @@ def lp_errors(m, horizons, cfg, p_values):
     b[:, 0] = 0.0
     total = [[0.0] * len(p_values) for _ in horizons]
     total_sq = [[0.0] * len(p_values) for _ in horizons]
-    # where F or F^2 is not finite on a path, its sum of F^2 is inf or nan:
-    # refused at the chunk's end, so the products' warnings are not shown
-    with np.errstate(over="ignore", invalid="ignore"), closing(_normals(
-            chunks(cfg.n_paths, _CHUNK, cfg.base_seed), rows,
-            n_steps)) as blocks:
+    with closing(_normals(chunks(cfg.n_paths, _CHUNK, cfg.base_seed), rows,
+                          n_steps)) as blocks:
         for k, lo, z in blocks:
             if lo == 0:
                 # per horizon and path: the Ito sum, the sum of F^2 and B_T
@@ -143,11 +140,15 @@ def lp_errors(m, horizons, cfg, p_values):
                 np.multiply(z, scale, out=inc[:q])
                 np.cumsum(inc[:q], axis=1, out=b[:q, 1:])
                 f = m.drift_at(b[:q, :-1])
-                # inc is not needed after the two products: it holds them
-                np.sum(np.multiply(f, inc[:q], out=inc[:q]), axis=1,
-                       out=ito[j, lo:lo + q])
-                np.sum(np.multiply(f, f, out=inc[:q]), axis=1,
-                       out=quad[j, lo:lo + q])
+                # inc is not needed after the two products: it holds them.
+                # Where F or F^2 is not finite on a path, its sum of F^2 is
+                # inf or nan, refused at the chunk's end, so the products
+                # warn of nothing
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.sum(np.multiply(f, inc[:q], out=inc[:q]), axis=1,
+                           out=ito[j, lo:lo + q])
+                    np.sum(np.multiply(f, f, out=inc[:q]), axis=1,
+                           out=quad[j, lo:lo + q])
                 end[j, lo:lo + q] = b[:q, -1]
             if lo + q < k:
                 continue

@@ -153,19 +153,6 @@ class LampertiMap:
             )
         return g
 
-    def _inv_curvature(self, x, f1, g):
-        """F F' = f1 / g at the knots x, the inverse's second derivative;
-        LampertiError at the first knot where it is not finite, as where it
-        overflows though 1/F does not."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            ff1 = f1 / g
-        bad = ~np.isfinite(ff1)
-        if np.any(bad):
-            raise LampertiError(
-                f"F F' is not finite at x={float(x[bad][0])!r}; assumption "
-                "violated on the traversed range")
-        return ff1
-
     # -- quadrature ---------------------------------------------------------
 
     def _segment_integrals(self, a, b):
@@ -195,7 +182,15 @@ class LampertiMap:
         ends = np.stack([lo, hi])
         f, f1 = self.drift_jets(ends)
         g = self._inv_drift(ends, f)
-        ff1 = self._inv_curvature(ends, f1, g)
+        # F F', the inverse's second derivative, checked where a knot is
+        # first made: it can overflow where 1/F does not
+        with np.errstate(over="ignore", invalid="ignore"):
+            ff1 = f1 / g
+        bad = ~np.isfinite(ff1)
+        if np.any(bad):
+            raise LampertiError(
+                f"F F' is not finite at x={float(ends[bad][0])!r}; "
+                "assumption violated on the traversed range")
         mid = 0.5 * (lo + hi)
         half, ok = self._segment_integrals(np.concatenate([lo, mid]),
                                            np.concatenate([mid, hi]))
@@ -273,11 +268,10 @@ class LampertiMap:
         x = np.concatenate([lo[left], t.x, hi[~left]])
         f, f1 = self.drift_jets(x)
         g = self._inv_drift(x, f)
-        ff1 = self._inv_curvature(x, f1, g)
         self._table = SimpleNamespace(
             j0=j0, j1=j1, x=x, y=y, g=g,
             fwd=_hermite(_ends(x), _ends(y), _ends(g), _ends(-f1 * g * g)),
-            inv=_hermite(_ends(y), _ends(x), _ends(1.0 / g), _ends(ff1)))
+            inv=_hermite(_ends(y), _ends(x), _ends(1.0 / g), _ends(f1 / g)))
         return self._table
 
     def _lattice(self, j):

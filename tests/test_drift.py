@@ -698,6 +698,7 @@ DEEP = {
     "calls": "cos(" * 200 + "x" + ")" * 200,
     "sum": "+".join(["x"] * 500),
     "unary_minus": "-" * 500 + "x",
+    "exponent_sum": "x^(" + "+".join(["1"] * 1000) + ")",
 }
 
 
@@ -711,6 +712,18 @@ class TestNestingCap:
         d = parse_drift("+".join(["x"] * 50))
         assert d(0.5) == 25.0
         assert parse_drift("(" * 60 + "x" + ")" * 60)(0.5) == 0.5
+
+    @pytest.mark.parametrize("opener, value", [
+        ("x*(", 0.5 ** 100), ("1+(", 99.5), ("-(", -0.5)])
+    def test_cap_counts_levels_of_the_tree(self, opener, value):
+        # a right operand or a sign and its parenthesis make one level of the
+        # tree, and count as one: 99 of them (a tree 100 deep) parse
+        def nest(n):
+            return opener * n + "x" + ")" * n
+
+        assert parse_drift(nest(99))(0.5) == value
+        with pytest.raises(DriftParseError, match="nested deeper"):
+            parse_drift(nest(100))
 
     @pytest.mark.parametrize("frames", [0, 800])
     def test_cap_does_not_depend_on_the_stack(self, frames):

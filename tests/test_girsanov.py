@@ -343,6 +343,15 @@ class TestLpErrors:
                                      r"x=-?\d"):
                 lp_errors(m, [0.05, 0.1], cfg, [1.0])
 
+    def test_overflowing_gap_power_still_warns(self):
+        # only the products of F run with overflow ignored: a d^p past the
+        # float range warns, and gives an inf mean
+        cfg = MCConfig(n_paths=300, n_steps=16, base_seed=3)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            [[est]] = lp_errors(LampertiMap(TWO_PLUS_COS), [1.0], cfg,
+                                [2000.0])
+        assert est.mean == math.inf
+
 
 def _same(ests, refs):
     return [(e.mean, e.std_error, e.n) for e in ests] == \
