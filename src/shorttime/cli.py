@@ -300,23 +300,20 @@ def _write_json(path, obj):
 
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(cfg, out):
+def _cmd_validate(cfg):
     report = _assumption(cfg, _build_drift(cfg))
-    path = os.path.join(out, "validate_report.json")
-    _write_json(path, dataclasses.asdict(report))
-    return [path], {"passed": report.passed}
+    return ({"validate_report.json": dataclasses.asdict(report)},
+            {"passed": report.passed})
 
 
-def _cmd_flow(cfg, out):
+def _cmd_flow(cfg):
     m = _build_map(cfg)
     t = _num(cfg, "t")
     xs = np.asarray(_nums(cfg, "x_values"))
-    path = os.path.join(out, "flow.csv")
-    _write_csv(path, ["x", "flow"], xs, m.flow(xs, t))
-    return [path], {"t": t}
+    return {"flow.csv": (["x", "flow"], xs, m.flow(xs, t))}, {"t": t}
 
 
-def _cmd_density(cfg, out):
+def _cmd_density(cfg):
     m = _build_map(cfg)
     T = _num(cfg, "T")
     grid = _grid(cfg)
@@ -342,9 +339,8 @@ def _cmd_density(cfg, out):
         for k in kinds}
     xs = grid.points()
     cols = [kernels.marginal_density(k, m, law, T, xs) for k in kinds]
-    path = os.path.join(out, "density.csv")
-    _write_csv(path, ["x"] + [k.value for k in kinds], xs, *cols)
-    return [path], {"mass_defect": defects, "T": T}
+    return ({"density.csv": (["x"] + [k.value for k in kinds], xs, *cols)},
+            {"mass_defect": defects, "T": T})
 
 
 def _mc_config(cfg, n_horizons):
@@ -359,43 +355,47 @@ def _mc_config(cfg, n_horizons):
                              base_seed=_num(mc, "base_seed", count=True))
 
 
-def _cmd_girsanov_error(cfg, out):
+def _error_rows(t_grid, p_values, per_t):
+    """The CSV of lp_errors' estimates per_t: a row per (p, T), p-major."""
+    ests = [e[i] for i in range(len(p_values)) for e in per_t]
+    return (["T", "p", "error_mean", "std_error"], t_grid * len(p_values),
+            np.repeat(p_values, len(t_grid)), [e.mean for e in ests],
+            [e.std_error for e in ests])
+
+
+def _cmd_girsanov_error(cfg):
     m = _build_map(cfg)
-    T = _num(cfg, "T")
+    T = [_num(cfg, "T")]
     p_values = _nums(cfg, "p_values", [2.0])
-    ests = girsanov.lp_errors(m, [T], _mc_config(cfg, 1), p_values)[0]
-    path = os.path.join(out, "errors.csv")
-    _write_csv(path, ["T", "p", "error_mean", "std_error"], [T] * len(ests),
-               p_values, [e.mean for e in ests], [e.std_error for e in ests])
-    return [path], {}
+    per_t = girsanov.lp_errors(m, T, _mc_config(cfg, 1), p_values)
+    return {"errors.csv": _error_rows(T, p_values, per_t)}, {}
 
 
-def _cmd_rate(cfg, out):
+def _cmd_rate(cfg):
     m = _build_map(cfg)
     t_grid = _nums(cfg, "T_grid")
     p_values = _nums(cfg, "p_values", [1.0, 2.0])
     mc = _mc_config(cfg, len(t_grid))
     if len(set(t_grid)) < 3:  # rate_fit's own check, made before any path
         raise ConfigError("'T_grid' needs at least 3 distinct T values")
-    # one common-path pass shares its draws across T_grid and serves every
-    # p; rows stay p-major
+    # one common-path pass shares its draws across T_grid and serves every p
     per_t = girsanov.lp_errors(m, t_grid, mc, p_values)
     fits = {}
     for i, p in enumerate(p_values):
         fit = girsanov.rate_fit([(T, e[i]) for T, e in zip(t_grid, per_t)])
         fits[_FLOAT % p] = {"slope": fit.slope, "intercept": fit.intercept,
                             "r_squared": fit.r_squared}
-    ests = [e[i] for i in range(len(p_values)) for e in per_t]
-    csv_path = os.path.join(out, "rate_errors.csv")
-    _write_csv(csv_path, ["T", "p", "error_mean", "std_error"],
-               t_grid * len(p_values), np.repeat(p_values, len(t_grid)),
-               [e.mean for e in ests], [e.std_error for e in ests])
-    fit_path = os.path.join(out, "rate_fit.json")
-    _write_json(fit_path, fits)
-    return [csv_path, fit_path], {"fits": fits}
+    return ({"rate_errors.csv": _error_rows(t_grid, p_values, per_t),
+             "rate_fit.json": fits}, {"fits": fits})
 
 
-def _cmd_compose(cfg, out):
+def _density_files(name, grid, dens, meta):
+    """The files of a density on grid: its CSV and its meta JSON."""
+    return ({f"{name}.csv": (["x", "density"], grid.points(), dens.values),
+             f"{name}_meta.json": meta}, meta)
+
+
+def _cmd_compose(cfg):
     grid = _grid(cfg)
     kinds = _kinds(cfg)
     if len(kinds) != 1:
@@ -418,14 +418,10 @@ def _cmd_compose(cfg, out):
     if steps:
         oracle = evolution.solve_fokker_planck(m, T, xp, grid, steps)
         meta["distance_to_oracle"] = evolution.density_distance(dens, oracle)
-    csv_path = os.path.join(out, "compose.csv")
-    _write_csv(csv_path, ["x", "density"], grid.points(), dens.values)
-    meta_path = os.path.join(out, "compose_meta.json")
-    _write_json(meta_path, meta)
-    return [csv_path, meta_path], meta
+    return _density_files("compose", grid, dens, meta)
 
 
-def _cmd_fp_solve(cfg, out):
+def _cmd_fp_solve(cfg):
     m = _build_map(cfg)
     grid = _grid(cfg)
     steps = _num(cfg, "n_time_steps", 2000, count=True)
@@ -434,15 +430,11 @@ def _cmd_fp_solve(cfg, out):
             work=steps * (grid.n_points + _CALL_WORK))
     dens = evolution.solve_fokker_planck(
         m, _num(cfg, "T"), _num(cfg, "x_prime"), grid, steps)
-    csv_path = os.path.join(out, "fp.csv")
-    _write_csv(csv_path, ["x", "density"], grid.points(), dens.values)
-    meta = {"mass": dens.mass(), "n_time_steps": steps}
-    meta_path = os.path.join(out, "fp_meta.json")
-    _write_json(meta_path, meta)
-    return [csv_path, meta_path], meta
+    return _density_files("fp", grid, dens,
+                          {"mass": dens.mass(), "n_time_steps": steps})
 
 
-def _cmd_sample(cfg, out):
+def _cmd_sample(cfg):
     m = _build_map(cfg)
     scfg = _require(cfg, "sample")
     T = _num(cfg, "T")
@@ -471,19 +463,14 @@ def _cmd_sample(cfg, out):
          else sampler.sample_crypto(m, xp, T, n, seed))
     meta = {"scheme": scheme, "n": n, "seed": seed}
     if output == "csv":
-        path = os.path.join(out, "samples.csv")
-        _write_csv(path, ["value"], s.values)
-    else:
-        ks = sampler.ks_distance(s, sampler.girsanov_kernel_cdf(m, T, xp))
-        summary = {
-            "mean": float(np.mean(s.values)),
-            "var": float(np.var(s.values, ddof=1)),
-            "ks_vs_kernel": ks,
-        }
-        meta.update(summary)
-        path = os.path.join(out, "sample_summary.json")
-        _write_json(path, summary)
-    return [path], meta
+        return {"samples.csv": (["value"], s.values)}, meta
+    ks = sampler.ks_distance(s, sampler.girsanov_kernel_cdf(m, T, xp))
+    summary = {
+        "mean": float(np.mean(s.values)),
+        "var": float(np.var(s.values, ddof=1)),
+        "ks_vs_kernel": ks,
+    }
+    return {"sample_summary.json": summary}, dict(meta, **summary)
 
 
 _HANDLERS = {
@@ -509,7 +496,15 @@ def run_command(command, cfg, out_dir=None):
     out = (out_dir or cfg.get("out_dir") or os.environ.get("SHORTTIME_OUT_DIR")
            or ".")
     os.makedirs(out, exist_ok=True)
-    outputs, extra = _HANDLERS[command](cfg, out)
+    # every result exists before the first file is written
+    files, extra = _HANDLERS[command](cfg)
+    outputs = []
+    for name, content in files.items():
+        outputs.append(os.path.join(out, name))
+        if name.endswith(".csv"):
+            _write_csv(outputs[-1], *content)
+        else:
+            _write_json(outputs[-1], content)
     manifest = {
         "command": command,
         "config_sha256": _config_hash(cfg),

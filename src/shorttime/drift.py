@@ -284,26 +284,17 @@ def _taylor(node, x, k):
 class _Reg(np.lib.mixins.NDArrayOperatorsMixin):
     """A value of x in a program being recorded: a ufunc applied to it (by
     Python's operators too, operands in their order) appends
-    (ufunc, operands, result) to code and returns the result's _Reg.  An
-    exact identity (a * 1.0) returns a, and a repeated call the first one's
-    result; neither is recorded."""
+    (ufunc, operands, result) to code, as written, and returns the result's
+    _Reg."""
 
-    def __init__(self, code, first):
-        self.code, self.first = code, first
+    def __init__(self, code):
+        self.code = code
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         assert method == "__call__" and not kwargs
-        reg = [a for a in inputs if isinstance(a, _Reg)]
-        if ufunc is np.multiply and len(reg) == 1 and any(
-                type(a) is float and a == 1.0 for a in inputs):
-            return reg[0]
-        key = (ufunc,) + tuple(id(a) if isinstance(a, _Reg)
-                               else (type(a), np.float64(a).tobytes())
-                               for a in inputs)
-        if key not in self.first:
-            self.first[key] = _Reg(self.code, self.first)
-            self.code.append((ufunc, inputs, self.first[key]))
-        return self.first[key]
+        out = _Reg(self.code)
+        self.code.append((ufunc, inputs, out))
+        return out
 
 
 class _Program:
@@ -312,7 +303,7 @@ class _Program:
     operands and in the same order, so each result has the same bits.
     Domain checks run in their place among them; one that fails on
     constants alone (1/0 + x) ends the program.  Constants are folded once,
-    here, and identities and repeats while recording.
+    here.
 
     A run owns its buffers, each of x's shape: a result overwrites an
     operand read for the last time, so a chain of unary or constant-operand
@@ -322,7 +313,7 @@ class _Program:
 
     def __init__(self, ast, k, shift):
         code = []
-        x = _Reg(code, {})
+        x = _Reg(code)
         try:
             with np.errstate(all="ignore"):  # warnings of the folds
                 # no shift for an AST without x: nothing would read it
@@ -356,9 +347,7 @@ class _Program:
         self._consts = consts
         self._n_buffers = n_slots - len(consts) - 1
         self._outs = tuple(slot[id(v)] for v in outs)
-        # each _Reg holds code and first: no cycle left for the collector
-        code.clear()
-        x.first.clear()
+        code.clear()  # each _Reg holds code: no cycle left for the collector
 
     def __call__(self, x):
         """The results at x (a scalar runs as a 0-d array), each in a
@@ -373,13 +362,9 @@ class _Program:
                     raise DriftDomainError(out)
             else:
                 f(*args, out=regs[out])
-        # x, a constant, or a buffer that an earlier value holds: a copy
-        outs, seen = [], set()
-        for i in self._outs:
-            own = i > len(self._consts) and i not in seen
-            outs.append(regs[i] if own else np.full(x.shape, regs[i]))
-            seen.add(i)
-        return outs
+        # a value is x, a constant (each copied), or a call's own result
+        return [regs[i] if i > len(self._consts) else np.full(x.shape, regs[i])
+                for i in self._outs]
 
 
 # ---------------------------------------------------------------------------

@@ -646,19 +646,17 @@ def test_minimal_parentheses_roundtrip(ast):
         _assert_same(_outcome(lambda: (d(x),)), _outcome(lambda: (ref(x),)))
 
 
-@pytest.mark.parametrize("text, calls, buffers", [
-    ("2 + cos(x)", 6, 2), ("2 + sin(x)*cos(x)", 10, 4)])
-def test_programs_drop_identities_and_repeats(text, calls, buffers):
-    # the order-1 programs behind drift_jets, through a map's shift: no
-    # multiplication by 1.0, and sin(u) and cos(u) once each (their chain
-    # rules ask for them again); they ran 7 and 14 calls in 2 and 5 buffers
-    prog = dmod._Program(parse_drift(text).ast, 1, 0.3)
-    ufuncs = [(f, ins) for f, ins, out in prog._code if type(out) is int]
-    assert (len(ufuncs), prog._n_buffers) == (calls, buffers)
-    ones = {i for i, c in enumerate(prog._consts) if c == 1.0}
-    assert not any(f is np.multiply and ones & set(ins) for f, ins in ufuncs)
-    names = [f.__name__ for f, _ in ufuncs]
-    assert names.count("sin") == names.count("cos") == 1
+@pytest.mark.parametrize("text, calls", [("2 + cos(x)", 3),
+                                         ("0.1 + tanh(x)^2", 4)])
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_order_zero_programs_of_the_bench_drifts(text, calls, shift):
+    # the programs behind drift_at on the Monte Carlo and Euler-Maruyama hot
+    # paths, through a map's shift: the shift's add, then the drift's calls,
+    # all in place in one buffer
+    prog = dmod._Program(parse_drift(text).ast, 0, shift)
+    ufuncs = [f for f, ins, out in prog._code if type(out) is int]
+    assert (len(ufuncs), prog._n_buffers) == (calls, 1)
+    assert ufuncs[0] is np.add
 
 
 def test_program_without_x_skips_the_shift():

@@ -99,6 +99,11 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             kernel_eval(KernelKind.GIRSANOV, m, 0.0, 0.1, 0.0)
 
+    def test_unknown_kind(self):
+        m = LampertiMap(TWO_PLUS_COS)
+        with pytest.raises(ValueError, match="unknown kernel kind"):
+            kernel_eval("no_such_kind", m, 0.1, 0.1, 0.0)
+
 
 class TestKernelMatrix:
     def test_matches_pointwise_eval(self):

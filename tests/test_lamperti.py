@@ -80,6 +80,14 @@ class TestLambdaMap:
             with pytest.raises(LampertiError):
                 m.lambda_map(-1.0)
 
+    @pytest.mark.parametrize("text", ["0", "-1"])
+    def test_nonpositive_constant_drift_raises(self, text):
+        # Lambda divides by the constant: no table, a refusal either way
+        m = LampertiMap(parse_drift(text))
+        for call in (m.lambda_map, m.lambda_inverse):
+            with pytest.raises(LampertiError, match="positive"):
+                call(1.0)
+
 
 class TestInverse:
     def test_cos_drift_roundtrip(self):
