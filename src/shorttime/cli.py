@@ -378,6 +378,9 @@ def _cmd_rate(cfg):
     mc = _mc_config(cfg, len(t_grid))
     if len(set(t_grid)) < 3:  # rate_fit's own check, made before any path
         raise ConfigError("'T_grid' needs at least 3 distinct T values")
+    if m.is_constant:  # the kernel is exact: every error would be rounding
+        raise ConfigError("rate needs a drift that depends on x; for a "
+                          "constant drift the kernel is exact")
     # one common-path pass shares its draws across T_grid and serves every p
     per_t = girsanov.lp_errors(m, t_grid, mc, p_values)
     fits = {}

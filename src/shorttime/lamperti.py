@@ -33,6 +33,10 @@ _H0 = 0.05
 _FIRST_CELLS = 1 << 12
 _SCALE = _H0 * _FIRST_CELLS
 _MAX_SPLIT = 4  # halvings of a failed cell per round
+# A table's cell lookup keeps at most _BINS_A_KNOT bins a knot, and hands the
+# points that _MAX_PASSES correction passes leave unresolved to a search.
+_BINS_A_KNOT = 4
+_MAX_PASSES = 4
 
 
 def _floats(name, v):
@@ -106,6 +110,71 @@ def _horner(c, j, v):
     return out
 
 
+def _key(v, center, width, out, sign):
+    """An int64 key of each v, in out's bytes, that never decreases as v
+    grows: the bits of |v - center| + width, less those of width, negated
+    below center.  A float's bits grow linearly within a binade, so the key
+    is about linear within width of center and logarithmic past it, as the
+    lattice's index is; and it takes only IEEE subtraction, abs and
+    addition, and integer operations, so its bits do not depend on the CPU.
+    sign is an int64 scratch buffer of v's shape."""
+    d = np.subtract(v, center, out=out)
+    neg = np.right_shift(d.view(np.int64), 63, out=sign)  # -1 where d < 0
+    np.abs(d, out=d)
+    d += width
+    k = d.view(np.int64)
+    k -= np.float64(width).view(np.int64)
+    k ^= neg  # -k below center: ~k + 1
+    k -= neg
+    return k
+
+
+def _index(knots, center, width):
+    """The cell lookup of the increasing knots: their _key, cut by a
+    power-of-two shift into at most _BINS_A_KNOT bins a knot; per bin, its
+    start, the cell of the last knot below the bin (0 if none); and passes,
+    the most knots one bin holds, which bounds a lookup's corrections."""
+    k = _key(knots, center, width, np.empty_like(knots),
+             np.empty(knots.size, np.int64))
+    span = int(k[-1]) - int(k[0])
+    shift = (span // (_BINS_A_KNOT * knots.size)).bit_length()
+    k >>= shift
+    base = int(k[0])
+    k -= base
+    held = np.bincount(k)
+    start = np.cumsum(held) - held  # the knots below each bin
+    start -= 1
+    return SimpleNamespace(knots=knots, center=center, width=width,
+                           shift=shift, base=base,
+                           start=np.maximum(start, 0, out=start),
+                           passes=int(held.max()))
+
+
+def _cell(ix, v):
+    """The cell of each v, knots[0] <= v < knots[-1], of the lookup ix:
+    exactly searchsorted(knots, v, "right") - 1, without a search.  The key
+    never decreases, so v's bin starts at or below its cell, and each pass
+    moves the points whose next knot is at most v up by one cell: passes
+    of them resolve every point, and a search takes the points left after
+    _MAX_PASSES.  Holds an int64 and a float buffer of v's shape and a
+    mask; returns the int64 one."""
+    s, j = np.empty_like(v), np.empty(v.shape, np.int64)
+    k = _key(v, ix.center, ix.width, s, j)
+    k >>= ix.shift
+    k -= ix.base
+    ix.start.take(k, out=j, mode="clip")
+    nxt, up = ix.knots[1:], np.empty(v.shape, bool)
+    for _ in range(min(ix.passes, _MAX_PASSES)):
+        np.less_equal(nxt.take(j, out=s, mode="clip"), v, out=up)
+        if not up.any():
+            return j
+        j += up
+    if ix.passes > _MAX_PASSES:
+        np.less_equal(nxt.take(j, out=s, mode="clip"), v, out=up)
+        j[up] = np.searchsorted(ix.knots, v[up], side="right") - 1
+    return j
+
+
 class LampertiMap:
     """Holds the drift, the scalar shift alpha, and the one tolerance root_tol.
 
@@ -125,9 +194,12 @@ class LampertiMap:
         self._const = float(drift(0.0)) if self.is_constant else None
         # F itself: the drift's programs, alpha added by their first call
         self._shifted = dataclasses.replace(drift, _shift=self.alpha)
-        # lattice knots j0..j1 (the reference is knot 0), split into cells
-        self._table = SimpleNamespace(j0=0, j1=0, x=np.array([
-            self.reference_point]), y=np.zeros(1))
+        # lattice knots j0..j1 (the reference is knot 0), split into cells;
+        # 1/F and F' at the knots come with the first growth
+        self._table = SimpleNamespace(
+            j0=0, j1=0, x=np.array([self.reference_point]), y=np.zeros(1),
+            g=np.empty(0), f1=np.empty(0), fwd=np.empty((8, 0)),
+            inv=np.empty((8, 0)))
 
     # -- effective drift ----------------------------------------------------
 
@@ -266,12 +338,31 @@ class LampertiMap:
             np.cumsum(np.append(t.y[0], -seg[left][::-1]))[:0:-1], t.y,
             np.cumsum(np.append(t.y[-1], seg[~left]))[1:]])
         x = np.concatenate([lo[left], t.x, hi[~left]])
-        f, f1 = self.drift_jets(x)
-        g = self._inv_drift(x, f)
+        # the jets of the new knots alone (and of the reference, on the
+        # first growth); a cell depends only on its two ends, so the new
+        # cells are spliced onto the old ones
+        nl = np.count_nonzero(left)
+        new = np.concatenate([lo[left], t.x[t.g.size:], hi[~left]])
+        f, f1 = self.drift_jets(new)
+        g = self._inv_drift(new, f)
+        g, f1 = (np.concatenate([v[:nl], old, v[nl:]])
+                 for v, old in ((g, t.g), (f1, t.f1)))
+
+        def cells(k):  # the cells between the knots k
+            return (_hermite(_ends(x[k]), _ends(y[k]), _ends(g[k]),
+                             _ends(-f1[k] * g[k] * g[k])),
+                    _hermite(_ends(y[k]), _ends(x[k]), _ends(1.0 / g[k]),
+                             _ends(f1[k] / g[k])))
+
+        (fl, il), (fr, ir) = cells(slice(nl + 1)), cells(
+            slice(nl + t.x.size - 1, None))
         self._table = SimpleNamespace(
-            j0=j0, j1=j1, x=x, y=y, g=g,
-            fwd=_hermite(_ends(x), _ends(y), _ends(g), _ends(-f1 * g * g)),
-            inv=_hermite(_ends(y), _ends(x), _ends(1.0 / g), _ends(f1 / g)))
+            j0=j0, j1=j1, x=x, y=y, g=g, f1=f1,
+            fwd=np.concatenate([fl, t.fwd, fr], axis=1),
+            inv=np.concatenate([il, t.inv, ir], axis=1),
+            # the lookups: y's near part spans the lattice's where F peaks
+            xs=_index(x, self.reference_point, _SCALE),
+            ys=_index(y, 0.0, _SCALE * g.min()))
         return self._table
 
     def _lattice(self, j):
@@ -293,9 +384,7 @@ class LampertiMap:
         if self.is_constant:
             return _result((x - ref) / self._rate())
         t = self._cover(x.min(initial=ref), x.max(initial=ref))
-        j = np.searchsorted(t.x, x, side="right")
-        j -= 1
-        return _result(_horner(t.fwd, j, x))
+        return _result(_horner(t.fwd, _cell(t.xs, x), x))
 
     def lambda_inverse(self, y):
         """Solve Lambda(x) = y on the table, grown until it covers y: each
@@ -318,9 +407,7 @@ class LampertiMap:
                     f"{float(hi)!r}]; drift bounds likely violated")
             t = self._cover(a, b)
             scale *= 2.0
-        j = np.searchsorted(t.y, y, side="right")
-        j -= 1
-        return _result(_horner(t.inv, j, y))
+        return _result(_horner(t.inv, _cell(t.ys, y), y))
 
     def flow(self, x, t):
         """phi_t(x) = Lambda^{-1}(Lambda(x) + t); negative t flows backward,

@@ -669,17 +669,46 @@ class TestMainErrors:
                                      "message": "MemoryError"})
 
     def test_rate_failing_after_its_pass_writes_nothing(self, tmp_path,
-                                                        capsys):
-        # a zero drift: the kernel is exact, every error mean is 0, and the
-        # fit refuses only once the whole Monte Carlo pass has run
+                                                        capsys, monkeypatch):
+        # F = 1e160 + cos x: F^2 overflows on every path, and the pass
+        # refuses at the end of its RNG chunk, once the paths are drawn
+        from shorttime import girsanov
+
+        calls = []
+        real = girsanov.chunk_rng
+        monkeypatch.setattr(girsanov, "chunk_rng",
+                            lambda *a: calls.append(a) or real(*a))
         out = tmp_path / "out"
         code, error = self._error(
             capsys, "rate", "--config",
             os.path.join(_ROOT, "configs", "rate_study.json"),
-            "--out-dir", str(out), "--set", 'drift={"expr": "0"}',
+            "--out-dir", str(out), "--set", 'drift={"expr": "1e160 + cos(x)"}',
             "--set", 'mc={"n_paths": 64, "n_steps": 16, "base_seed": 1}')
-        assert (code, error["module"]) == (1, "girsanov")
-        assert "all error means must be positive" in error["message"]
+        assert (code, error["module"]) == (1, "drift")
+        assert "F^2 is not finite" in error["message"]
+        assert calls
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("expr", ["2", "0"])
+    def test_rate_refuses_a_constant_drift(self, expr, tmp_path, capsys,
+                                           monkeypatch):
+        # the kernel is exact for a constant drift, so the errors are
+        # rounding and their fit says nothing: refused before any path
+        from shorttime import girsanov
+
+        calls = []
+        real = girsanov.chunk_rng
+        monkeypatch.setattr(girsanov, "chunk_rng",
+                            lambda *a: calls.append(a) or real(*a))
+        out = tmp_path / "out"
+        code, error = self._error(
+            capsys, "rate", "--config",
+            os.path.join(_ROOT, "configs", "rate_study.json"),
+            "--out-dir", str(out), "--set", f'drift={{"expr": "{expr}"}}',
+            "--set", 'mc={"n_paths": 64, "n_steps": 16, "base_seed": 1}')
+        assert (code, error["kind"]) == (2, "config")
+        assert "constant drift" in error["message"]
+        assert calls == []
         assert list(out.iterdir()) == []
 
     def test_overflowing_drift_names_a_finite_point(self, tmp_path):

@@ -294,6 +294,28 @@ class TestOneTable:
         m.lambda_map(10.0)  # past the covered range: the table grows
         assert built
 
+    def test_growth_evaluates_each_knot_once(self, monkeypatch):
+        # outside the cells' own checks, a growth evaluates the jets of its
+        # new knots alone and splices their cells onto the old ones: the
+        # table grown by 100 calls is the one grown by a single call
+        jets, checked = [], []
+        real_jets, real_cells = LampertiMap.drift_jets, LampertiMap._cells
+        monkeypatch.setattr(LampertiMap, "drift_jets", lambda self, x: (
+            jets.append(np.size(x)), real_jets(self, x))[1])
+        monkeypatch.setattr(LampertiMap, "_cells", lambda self, lo, hi: (
+            checked.append(2 * lo.size), real_cells(self, lo, hi))[1])
+        grown = LampertiMap(TWO_PLUS_COS)
+        for x in np.linspace(1.0, 300.0, 100):
+            grown.lambda_map(np.array([-x / 3.0, x]))  # both ends grow
+        t = grown._table
+        assert sum(jets) - sum(checked) == t.x.size
+        once = LampertiMap(TWO_PLUS_COS)
+        once.lambda_map(np.array([-100.0, 300.0]))
+        u = once._table
+        assert (t.j0, t.j1) == (u.j0, u.j1)
+        for name in ("x", "y", "g", "f1", "fwd", "inv"):
+            assert getattr(t, name).tobytes() == getattr(u, name).tobytes()
+
 
 def _gathered_horner(c, v):
     """The lookup that gathered all eight coefficient rows at once, kept as
@@ -371,6 +393,111 @@ class TestRowLookup:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * x.nbytes
+
+
+def _bench_table(text):
+    """The table of a scatter_sample op on a bench drift: a flow of starts
+    x' + B_T, x' in [-1, 1], T = 0.2."""
+    m = LampertiMap(parse_drift(text))
+    rng = np.random.default_rng(3)
+    m.flow(rng.uniform(-1.0, 1.0, 20_000)
+           + math.sqrt(0.2) * rng.standard_normal(20_000), 0.2)
+    return m
+
+
+def _far_table(text, grow):
+    m = LampertiMap(parse_drift(text))
+    grow(m)
+    m.flow(np.linspace(-3.0, 3.0, 101), 0.2)  # and both sides of 0
+    return m
+
+
+_LOOKUP_TABLES = {
+    "two_plus_cos": lambda: _bench_table("2 + cos(x)"),
+    "logistic_floor": lambda: _bench_table("0.1 + tanh(x)^2"),
+    # about 128,800 and 47,200 knots: past 204.8 the lattice widens as sinh
+    "two_plus_cos_far": lambda: _far_table(
+        "2 + cos(x)", lambda m: m.lambda_map(1e4)),
+    "logistic_floor_far": lambda: _far_table(
+        "0.1 + tanh(x)^2", lambda m: m.flow(1e7, 0.1)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_LOOKUP_TABLES))
+def lookup_map(request):
+    return _LOOKUP_TABLES[request.param]()
+
+
+def _probes(ix):
+    """Points in [knots[0], knots[-1]) where a lookup can go wrong: the
+    knots, the lowest key of each bin taken back to a float, the two floats
+    on each side of both, and both end cells."""
+    k = ix.knots
+    key = (np.arange(ix.start.size) + ix.base) << ix.shift
+    d = (np.abs(key) + np.float64(ix.width).view(np.int64)).view(np.float64)
+    edge = ix.center + np.copysign(d - ix.width, key)
+    v = [k, edge, 0.5 * k[:2].sum(keepdims=True),
+         0.5 * k[-2:].sum(keepdims=True)]
+    for p in (k, edge):
+        lo = hi = p
+        for _ in range(2):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            v += [lo, hi]
+    v = np.concatenate(v)
+    return v[(k[0] <= v) & (v < k[-1])]
+
+
+class TestCellLookup:
+    """A lookup finds a point's cell from a key of its bits and a bin
+    table, and corrects it in a few passes against the knots: the cell is
+    searchsorted's, and the passes stay few on near and far tables."""
+
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_cell_is_searchsorted(self, lookup_map, side):
+        ix = getattr(lookup_map._table, side)
+        v = _probes(ix)
+        want = np.searchsorted(ix.knots, v, side="right") - 1
+        assert np.array_equal(lamperti_mod._cell(ix, v), want)
+        assert want.min() == 0 and want.max() == ix.knots.size - 2
+        # and through the public map, against the eight-row gather, on
+        # the points that need no growth
+        inner = v > ix.knots[0]
+        t, v, want = lookup_map._table, v[inner], want[inner]
+        got = (lookup_map.lambda_map if side == "xs"
+               else lookup_map.lambda_inverse)(v)
+        assert lookup_map._table is t
+        c = t.fwd if side == "xs" else t.inv
+        assert np.array_equal(got, _gathered_horner(np.take(c, want, axis=1),
+                                                    v))
+
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_passes_stay_few(self, lookup_map, side):
+        # the most knots a bin holds bounds the correction passes: a search
+        # or a scan of a crowded bin would show here, not as a time
+        ix = getattr(lookup_map._table, side)
+        assert ix.passes <= 3
+        assert ix.start.size <= lamperti_mod._BINS_A_KNOT * ix.knots.size
+
+    def test_crowded_bins_fall_back_to_a_search(self):
+        # Lambda of 1 + x^2 is atan: its far knots crowd near pi/2 in y,
+        # past what _MAX_PASSES passes resolve
+        m = LampertiMap(parse_drift("1 + x^2"))
+        m.lambda_map(np.array([-1e4, 1e4]))
+        ix = m._table.ys
+        assert ix.passes > lamperti_mod._MAX_PASSES
+        v = np.concatenate([_probes(ix), np.random.default_rng(2).uniform(
+            ix.knots[0], ix.knots[-1], 10_000)])
+        assert np.array_equal(lamperti_mod._cell(ix, v),
+                              np.searchsorted(ix.knots, v, side="right") - 1)
+
+    def test_key_never_decreases(self):
+        v = np.array([-1e300, -3e5, -204.8, -1.0, -1e-300, -5e-324, -0.0,
+                      0.0, 5e-324, 1e-300, 1.0, 2.0, 204.8, 3e5, 1e300])
+        for center, width in ((0.0, 204.8), (-1.0, 0.5), (2.0, 1e-3)):
+            k = lamperti_mod._key(v, center, width, np.empty_like(v),
+                                  np.empty(v.size, np.int64))
+            assert np.all(np.diff(k) >= 0)
+            assert np.all(k[v == center] == 0)
 
 
 class TestTransport:
