@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelKind, _check_tails, _kernel_band, kernel_matrix
+from .kernels import (KernelKind, _check_tails, _finite, _kernel_band,
+                      kernel_matrix)
 from .lamperti import _check_horizon
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -75,12 +76,13 @@ def compose_chapman(m, plan, x_prime):
     tau = plan.tau
     p = kernel_matrix(m, plan.kind, tau, xs, np.array([x_prime]))[:, 0]
     _check_tails(p, 1e-10, BoundaryError,
-                 "compose_chapman first slice: density")
+                 "compose_chapman first slice: density", plan.grid)
     if plan.n_slices > 1:
         kw = _kernel_band(m, plan.kind, tau, xs, _trapezoid_weights(plan.grid))
         for _ in range(plan.n_slices - 1):
             p = kw @ p
-    _check_tails(p, 1e-10, BoundaryError, "compose_chapman result: density")
+    _check_tails(p, 1e-10, BoundaryError, "compose_chapman result: density",
+                 plan.grid)
     return GridDensity(grid=plan.grid, values=p, time=plan.total_time)
 
 
@@ -108,8 +110,12 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
     # vanishes on it, and the warm start's square may overflow
     _check_on_grid("start x_prime", x_prime, grid)
     t0 = min(1e-3, T / 100.0)
-    f0, f1 = m.drift_jets(x_prime)
-    f0, f1 = float(f0), float(f1)
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        fm = m.drift_at(mids)
+        f0, f1 = (float(v) for v in m.drift_jets(x_prime))
+    _finite("F or F' at the start", np.array([f0, f1]), x_prime)
+    _finite("F at the Crank-Nicolson midpoints", fm, mids)
     mu0 = x_prime + f0 * t0 + 0.5 * f0 * f1 * t0 * t0
     _check_on_grid("warm-start mean", mu0, grid)
     var0 = max(t0 * (1.0 + f1 * t0), 0.5 * t0)
@@ -118,9 +124,6 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
     p = np.exp(-np.square(xs - mu0) / (2.0 * var0)) / math.sqrt(
         2.0 * math.pi * var0
     )
-
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    fm = m.drift_at(mids)
 
     # Interface flux between nodes i and i+1:
     #   G_i = fm_i (p_i + p_{i+1})/2 - (p_{i+1} - p_i)/(2 dx),
@@ -150,10 +153,10 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
         q -= p
         p = q
     mass = float(_trapezoid(p, dx=dx))
-    if abs(mass - mass0) > 1e-8:
+    if not abs(mass - mass0) <= 1e-8:  # a nan fails too
         raise InstabilityError(f"mass drifted by {mass - mass0:.3e}")
     peak = float(np.max(p))
-    if float(np.min(p)) < -1e-8 * peak:
+    if not float(np.min(p)) >= -1e-8 * peak:
         raise InstabilityError("negative density beyond tolerance")
     return GridDensity(grid=grid, values=p, time=T)
 

@@ -139,12 +139,12 @@ def lp_errors(m, horizons, cfg, p_values):
             for j, scale in enumerate(scales):
                 np.multiply(z, scale, out=inc[:q])
                 np.cumsum(inc[:q], axis=1, out=b[:q, 1:])
-                f = m.drift_at(b[:q, :-1])
                 # inc is not needed after the two products: it holds them.
                 # Where F or F^2 is not finite on a path, its sum of F^2 is
-                # inf or nan, refused at the chunk's end, so the products
-                # warn of nothing
+                # inf or nan, refused at the chunk's end, so neither the
+                # drift nor the products warn of it
                 with np.errstate(over="ignore", invalid="ignore"):
+                    f = m.drift_at(b[:q, :-1])
                     np.sum(np.multiply(f, inc[:q], out=inc[:q]), axis=1,
                            out=ito[j, lo:lo + q])
                     np.sum(np.multiply(f, f, out=inc[:q]), axis=1,

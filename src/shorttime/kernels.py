@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .drift import DriftDomainError
 from .lamperti import _BLOCK_CELLS, _GL16_W, _GL16_X, _check_horizon, _result
 
 # Half-width of _kernel_band in standard deviations sqrt(T): a cell further
@@ -75,10 +76,10 @@ def _gaussian(a, b, T, scale, damp):
     the one Gaussian of every kernel, a the row centre and b the column
     centre.  A distance whose square overflows (a start at 1e300, say)
     gives exp(-inf) = 0, the kernel's value there, so that overflow is
-    not reported."""
-    with np.errstate(over="ignore"):
-        square = np.square(a - b)
-    return scale * np.exp(-square / (2.0 * T) - damp)
+    not reported; nor is a drift term past the float range, whose kernel
+    values compose, density and the defect refuse (_finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scale * np.exp(-np.square(a - b) / (2.0 * T) - damp)
 
 
 def _operands(kind, m, T, x, x_prime):
@@ -87,14 +88,16 @@ def _operands(kind, m, T, x, x_prime):
     alone and a, scale and damp on x alone, so on a product grid each
     runs once per point."""
     norm = 1.0 / math.sqrt(2.0 * math.pi * T)
-    if kind is KernelKind.GIRSANOV:
-        y, ratio = m.transport(x, T)
-        return y, x_prime, norm * ratio, 0.0
-    if kind is KernelKind.EULER_MARUYAMA:
-        return x, x_prime + m.drift_at(x_prime) * T, norm, 0.0
-    if kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
-        f, f1 = m.drift_jets(x)
-        return x - f * T, x_prime, norm, f1 * T
+    # a term past the float range is left to _gaussian and its callers
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is KernelKind.GIRSANOV:
+            y, ratio = m.transport(x, T)
+            return y, x_prime, norm * ratio, 0.0
+        if kind is KernelKind.EULER_MARUYAMA:
+            return x, x_prime + m.drift_at(x_prime) * T, norm, 0.0
+        if kind in (KernelKind.BACKWARD_EULER, KernelKind.HAKEN):
+            f, f1 = m.drift_jets(x)
+            return x - f * T, x_prime, norm, f1 * T
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
@@ -194,9 +197,23 @@ def _integrate_kernel(kind, m, T, x_prime, lo, hi, n_panels):
     return float(half * np.sum(vals @ _GL16_W))
 
 
-def _check_tails(values, rel, error, label):
-    """Raise error unless both end values are at most rel times the peak."""
+def _finite(label, values, x):
+    """DriftDomainError naming the first of the points x (broadcast to
+    values) where values is not finite: there the drift, or a kernel term
+    made from it, left the float range."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        x = np.broadcast_to(x, bad.shape)[bad][0]
+        raise DriftDomainError(f"{label} is not finite at x={float(x)!r}")
+
+
+def _check_tails(values, rel, error, label, grid):
+    """Raise error unless both end values are at most rel times the peak.
+    The values, on the grid's points, are not negative, so a nan or inf
+    among them shows in the peak: DriftDomainError names its point."""
     peak = float(np.max(values))
+    if not math.isfinite(peak):
+        _finite(label, values, grid.points())
     if peak <= 0.0:
         raise error(f"{label} vanished on the whole grid")
     if values[0] > rel * peak or values[-1] > rel * peak:
@@ -211,7 +228,7 @@ def normalization_defect(kind, m, T, x_prime, grid):
     truncated tail cannot hide in the defect.
     """
     _check_tails(kernel_eval(kind, m, T, grid.points(), x_prime), 1e-12,
-                 TailMassError, "kernel")
+                 TailMassError, "kernel", grid)
     n_panels = max(grid.n_points // 8, 64)
     coarse = _integrate_kernel(kind, m, T, x_prime, grid.x_min, grid.x_max,
                                n_panels)
@@ -227,7 +244,9 @@ def marginal_density(kind, m, law, T, x):
     """Density of the flowed state at time T when the start point is drawn
     from the discrete law: sum_j w_j * kernel(T, x | x' = a_j), every atom
     a_j a start point in m's frame, as x_prime is.  One kernel_matrix on
-    m serves all the atoms; the result has x's shape."""
+    m serves all the atoms; the result has x's shape, and DriftDomainError
+    names an x where it is not finite."""
     atoms, weights = np.array(law.atoms).T
-    out = kernel_matrix(m, kind, T, x, atoms) @ weights
-    return _result(out.reshape(np.shape(x)))
+    out = (kernel_matrix(m, kind, T, x, atoms) @ weights).reshape(np.shape(x))
+    _finite("the marginal density", out, x)
+    return _result(out)

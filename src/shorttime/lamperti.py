@@ -33,8 +33,8 @@ _H0 = 0.05
 _FIRST_CELLS = 1 << 12
 _SCALE = _H0 * _FIRST_CELLS
 _MAX_SPLIT = 4  # halvings of a failed cell per round
-# A table's cell lookup keeps at most _BINS_A_KNOT bins a knot, and hands the
-# points that _MAX_PASSES correction passes leave unresolved to a search.
+# A table's cell lookup keeps at most _BINS_A_KNOT bins a knot; one whose
+# busiest bin holds more than _MAX_PASSES knots is searched, not walked.
 _BINS_A_KNOT = 4
 _MAX_PASSES = 4
 
@@ -83,16 +83,34 @@ def _hermite(x, p, d1, d2):
     ])
 
 
+def _refuse(bad, x, what):
+    """LampertiError naming the first x where bad holds, if it holds."""
+    if np.any(bad):
+        raise LampertiError(f"{what} at x={float(x[bad][0])!r}; assumption "
+                            "violated on the traversed range")
+
+
+def _cells_of(x, y, g, f1):
+    """Lambda's and its inverse's Hermite cells (fwd, inv) between knots x,
+    from Lambda = y, 1/F = g and F' = f1 there, each a pair (left ends,
+    right ends): Lambda'' = -F' g^2, and the inverse's derivatives are F and
+    F F'.  LampertiError names a knot where F F' is not finite (it can
+    overflow where 1/F does not), or the left knot of a cell whose
+    coefficients are not finite (Lambda's step over it can)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ff1 = f1 / g
+        fwd, inv = _hermite(x, y, g, -f1 * g * g), _hermite(y, x, 1.0 / g, ff1)
+    _refuse(~np.isfinite(ff1), x, "F F' is not finite")
+    _refuse(~np.isfinite(np.concatenate([fwd, inv])).all(axis=0), x[0],
+            "a Hermite cell of Lambda is not finite")
+    return fwd, inv
+
+
 def _over_budget(a, b):
     """The error for a table that covering [a, b] would take past budget."""
     return LampertiError(
         f"covering [{float(a)!r}, {float(b)!r}] needs more than the "
         f"table's budget of {_MAX_NODES} cells")
-
-
-def _ends(v):
-    """The knots v as a pair (left ends, right ends) of their cells."""
-    return v[:-1], v[1:]
 
 
 def _horner(c, j, v):
@@ -152,26 +170,23 @@ def _index(knots, center, width):
 
 def _cell(ix, v):
     """The cell of each v, knots[0] <= v < knots[-1], of the lookup ix:
-    exactly searchsorted(knots, v, "right") - 1, without a search.  The key
-    never decreases, so v's bin starts at or below its cell, and each pass
-    moves the points whose next knot is at most v up by one cell: passes
-    of them resolve every point, and a search takes the points left after
-    _MAX_PASSES.  Holds an int64 and a float buffer of v's shape and a
-    mask; returns the int64 one."""
+    exactly searchsorted(knots, v, "right") - 1.  A table whose busiest bin
+    holds more than _MAX_PASSES knots is searched; any other is walked
+    without a search: the key never decreases, so v's bin starts at or
+    below its cell, and each pass moves the points whose next knot is at
+    most v up by one cell, so passes of them resolve every point.  A walk
+    holds an int64 and a float buffer of v's shape and a mask; returns the
+    int64 one."""
+    if ix.passes > _MAX_PASSES:
+        return np.searchsorted(ix.knots, v, side="right") - 1
     s, j = np.empty_like(v), np.empty(v.shape, np.int64)
     k = _key(v, ix.center, ix.width, s, j)
     k >>= ix.shift
     k -= ix.base
     ix.start.take(k, out=j, mode="clip")
     nxt, up = ix.knots[1:], np.empty(v.shape, bool)
-    for _ in range(min(ix.passes, _MAX_PASSES)):
-        np.less_equal(nxt.take(j, out=s, mode="clip"), v, out=up)
-        if not up.any():
-            return j
-        j += up
-    if ix.passes > _MAX_PASSES:
-        np.less_equal(nxt.take(j, out=s, mode="clip"), v, out=up)
-        j[up] = np.searchsorted(ix.knots, v[up], side="right") - 1
+    for _ in range(ix.passes):
+        j += np.less_equal(nxt.take(j, out=s, mode="clip"), v, out=up)
     return j
 
 
@@ -212,18 +227,15 @@ class LampertiMap:
         """(F, F') at x, from one order-1 pass."""
         return self._shifted.jets(np.asarray(x, dtype=float), 1)
 
-    def _inv_drift(self, x, f):
-        """1/f, f = F(x); LampertiError where it is not positive and finite."""
-        with np.errstate(divide="ignore", over="ignore"):
-            g = 1.0 / f
-        bad = ~((g > 0.0) & (g < math.inf))
-        if np.any(bad):
-            raise LampertiError(
-                f"drift non-positive or non-finite, or 1/F overflows, at "
-                f"x={float(x[bad][0])!r}; assumption violated on the "
-                "traversed range"
-            )
-        return g
+    def _inv_drift(self, x, order=0):
+        """1/F at x, and F' after it at order 1, the drift read with its
+        warnings off; LampertiError where 1/F is not positive and finite."""
+        with np.errstate(all="ignore"):
+            jets = self.drift_jets(x) if order else (self.drift_at(x),)
+            g = 1.0 / jets[0]
+        _refuse(~((g > 0.0) & (g < math.inf)), x, "drift non-positive or "
+                "non-finite, or 1/F overflows,")
+        return g, *jets[1:]
 
     # -- quadrature ---------------------------------------------------------
 
@@ -236,7 +248,7 @@ class LampertiMap:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         x = mid[:, None] + half[:, None] * _GL_X
-        v = self._inv_drift(x, self.drift_at(x))
+        v = self._inv_drift(x)[0]
         i16 = half * np.sum(v[:, :16] * _GL16_W, axis=1)
         i8 = half * np.sum(v[:, 16:] * _GL8_W, axis=1)
         tol = self.root_tol * (b - a) / _SCALE
@@ -252,25 +264,13 @@ class LampertiMap:
         Hermite inverse under quadrature.  The error is inf, so the cell is
         split, where an 8-point sum disagrees with its 16-point one."""
         ends = np.stack([lo, hi])
-        f, f1 = self.drift_jets(ends)
-        g = self._inv_drift(ends, f)
-        # F F', the inverse's second derivative, checked where a knot is
-        # first made: it can overflow where 1/F does not
-        with np.errstate(over="ignore", invalid="ignore"):
-            ff1 = f1 / g
-        bad = ~np.isfinite(ff1)
-        if np.any(bad):
-            raise LampertiError(
-                f"F F' is not finite at x={float(ends[bad][0])!r}; "
-                "assumption violated on the traversed range")
+        g, f1 = self._inv_drift(ends, 1)
         mid = 0.5 * (lo + hi)
         half, ok = self._segment_integrals(np.concatenate([lo, mid]),
                                            np.concatenate([mid, hi]))
         first = half[:lo.size]
         seg = first + half[lo.size:]
-        y = np.stack([np.zeros_like(seg), seg])
-        fwd = _hermite(ends, y, g, -f1 * g * g)
-        inv = _hermite(y, ends, 1.0 / g, ff1)
+        fwd, inv = _cells_of(ends, np.stack([np.zeros_like(seg), seg]), g, f1)
         cols = np.arange(lo.size)
         x_hat = np.clip(_horner(inv, cols, 0.5 * seg), lo, hi)
         res, res_ok = self._segment_integrals(lo, x_hat)
@@ -340,26 +340,19 @@ class LampertiMap:
         x = np.concatenate([lo[left], t.x, hi[~left]])
         # the jets of the new knots alone (and of the reference, on the
         # first growth); a cell depends only on its two ends, so the new
-        # cells are spliced onto the old ones
+        # cells, those left of the old knots and those right of them, are
+        # spliced onto the old ones
         nl = np.count_nonzero(left)
         new = np.concatenate([lo[left], t.x[t.g.size:], hi[~left]])
-        f, f1 = self.drift_jets(new)
-        g = self._inv_drift(new, f)
+        g, f1 = self._inv_drift(new, 1)
         g, f1 = (np.concatenate([v[:nl], old, v[nl:]])
                  for v, old in ((g, t.g), (f1, t.f1)))
-
-        def cells(k):  # the cells between the knots k
-            return (_hermite(_ends(x[k]), _ends(y[k]), _ends(g[k]),
-                             _ends(-f1[k] * g[k] * g[k])),
-                    _hermite(_ends(y[k]), _ends(x[k]), _ends(1.0 / g[k]),
-                             _ends(f1[k] / g[k])))
-
-        (fl, il), (fr, ir) = cells(slice(nl + 1)), cells(
-            slice(nl + t.x.size - 1, None))
+        k = np.r_[:nl, nl + t.x.size - 1:x.size - 1]  # their left knots
+        fwd, inv = _cells_of(*(v[np.stack([k, k + 1])] for v in (x, y, g, f1)))
         self._table = SimpleNamespace(
             j0=j0, j1=j1, x=x, y=y, g=g, f1=f1,
-            fwd=np.concatenate([fl, t.fwd, fr], axis=1),
-            inv=np.concatenate([il, t.inv, ir], axis=1),
+            fwd=np.concatenate([fwd[:, :nl], t.fwd, fwd[:, nl:]], axis=1),
+            inv=np.concatenate([inv[:, :nl], t.inv, inv[:, nl:]], axis=1),
             # the lookups: y's near part spans the lattice's where F peaks
             xs=_index(x, self.reference_point, _SCALE),
             ys=_index(y, 0.0, _SCALE * g.min()))
@@ -425,8 +418,9 @@ class LampertiMap:
 
     def transport(self, x, t):
         """(y, dy/dx) for the backward flow y = phi_{-t}(x): dy/dx = F(y)/F(x),
-        exactly 1 for a constant drift (also f = 0, where it would be 0/0)."""
+        the float 1 for a constant drift (also f = 0, where it would be 0/0);
+        both floats for a scalar x."""
         y = self.flow(x, -t)
         if self.is_constant:
             return y, 1.0
-        return y, self.drift_at(y) / self.drift_at(x)
+        return y, _result(self.drift_at(y) / self.drift_at(x))

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drift import DriftDomainError
 from .girsanov import _normals, chunks
 from .lamperti import _BLOCK_CELLS, _check_horizon, _result
 
@@ -48,7 +49,8 @@ def sample_em_path(m, x_prime, T, n_steps, n, seed):
     step i's k normals, in the stream order of one draw of k a step, so the
     bytes do not depend on the worker's timing.  The drift and the update
     run here, on the caller's thread; the worker is joined before this
-    returns or raises."""
+    returns or raises.  DriftDomainError refuses a path that leaves the
+    float range, checked once a block."""
     _check_horizon(T)
     if n_steps < 1 or n < 1:
         raise ValueError("need at least one step and one sample")
@@ -59,11 +61,17 @@ def sample_em_path(m, x_prime, T, n_steps, n, seed):
         x = np.full(k, float(x_prime))
         rows = max(1, min(n_steps, _BLOCK_CELLS // k))
         with closing(_normals([(rng, n_steps)], rows, k)) as blocks:
-            for _, _, z in blocks:
-                for dz in z:  # in place; the same sums as x + F dt + dB
-                    f = m.drift_at(x)  # a buffer of its own
-                    x += np.multiply(f, dt, out=f)
-                    x += np.multiply(dz, sqrt_dt, out=dz)
+            for _, lo, z in blocks:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for dz in z:  # in place; the same sums as x + F dt + dB
+                        f = m.drift_at(x)  # a buffer of its own
+                        x += np.multiply(f, dt, out=f)
+                        x += np.multiply(dz, sqrt_dt, out=dz)
+                # a path that left the float range stays out of it
+                if not np.isfinite(x).all():
+                    raise DriftDomainError(
+                        f"an Euler-Maruyama path from x'={x_prime!r} left "
+                        f"the float range by step {lo + len(z)}")
         values.append(x)
     return SampleSet(values=np.concatenate(values), horizon=float(T),
                      seed=int(seed), scheme="euler_maruyama_path")

@@ -3,9 +3,11 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -731,6 +733,58 @@ class TestMainErrors:
         assert not (tmp_path / "rate_fit.json").exists()
 
 
+# exp(x^2) on a grid out to |x| = 30, where it leaves the float range
+_WIDE = ['drift={"expr": "exp(x^2)"}',
+         'grid={"x_min": -30.0, "x_max": 30.0, "n_points": 6001}']
+_EM = ['drift={"expr": "exp(x^2)"}', "T=1.0", "x_prime=2.0",
+       'sample={"n": 1000, "n_steps": 64, "seed": 3, '
+       '"scheme": "euler_maruyama_path", "output": "%s"}']
+
+
+class TestOverflowingDrift:
+    """A drift that leaves the float range where a command reads it ends
+    in a typed error naming a finite point, with no floating-point warning
+    and no artifact: not in a density or a sample of nan or inf."""
+
+    @pytest.mark.parametrize("command,config,sets,message", [
+        ("fp-solve", "fp_oracle", _WIDE, "Crank-Nicolson midpoints"),
+        ("compose", "compose_path_integral", _WIDE + [
+            "kind=backward_euler", "compare_to_oracle=false", "n_slices=4"],
+         "first slice: density is not finite"),
+        ("density", "density_all_kernels", _WIDE + ["kind=backward_euler"],
+         "kernel is not finite"),
+        # a law has no defect, so the density column itself is refused
+        ("density", "density_all_kernels", _WIDE + [
+            "kind=backward_euler",
+            'law={"atoms": [[0.0, 0.5], [0.5, 0.5]]}'],
+         "marginal density is not finite"),
+        ("sample", "sample_ks", _EM[:3] + [_EM[3] % "csv"],
+         "Euler-Maruyama path"),
+        ("sample", "sample_ks", _EM[:3] + [_EM[3] % "summary"],
+         "Euler-Maruyama path"),
+    ], ids=["fp-solve", "compose", "density", "density-law", "sample-csv",
+            "sample-summary"])
+    def test_refused_with_no_artifact(self, command, config, sets, message,
+                                      tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--config",
+                os.path.join(_ROOT, "configs", f"{config}.json"),
+                "--out-dir", str(out)]
+        for s in sets:
+            argv += ["--set", s]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert (code, len(lines)) == (1, 1)
+        error = _strict_json(lines[0])["error"]
+        assert (error["kind"], error["module"]) == ("domain", "drift")
+        assert message in error["message"]
+        x = re.search(r"x'?=(\S+?);?(\s|$)", error["message"]).group(1)
+        assert math.isfinite(float(x))
+        assert list(out.iterdir()) == []
+
+
 class TestNonFiniteConfig:
     """json reads NaN, Infinity and 1e999 as floats; each must exit 2 before
     any artifact is written."""
@@ -1348,8 +1402,8 @@ class TestContract:
     """Every configs/*.json, shrunk, with one key at any nesting level
     dropped or set to a value of another kind, ends as main promises: exit
     0, 1 or 2 with one strict JSON line on stdout, strict JSON in every
-    JSON artifact, no artifact on any failure, and on a domain error a
-    module of shorttime's named, not builtins."""
+    JSON artifact, no artifact on any failure, no floating-point warning,
+    and on a domain error a module of shorttime's named, not builtins."""
 
     VALUES = ["x", [], {}, True, None, -1, 0, 1, 0.5, 1e300, -1e300, [1.0],
               {"a": 1}]
@@ -1388,31 +1442,59 @@ class TestContract:
                 for sub in cls._mutations(value):
                     yield put(key, sub)
 
-    def test_mutated_configs(self, tmp_path, capsys):
-        out, broken = tmp_path / "out", []
+    @staticmethod
+    def _ops():
         ops = _config_ops()
         # no pinned config holds a law: a density of two atoms stands in
-        ops += [(command, dict(cfg, law={"atoms": [[0.0, 0.5], [0.5, 0.5]]}))
-                for command, cfg in ops if command == "density"]
-        for command, cfg in ops:
-            for mutated in self._mutations(self._shrunk(cfg)):
-                argv = [command, "--config",
-                        write_cfg(tmp_path, "c.json", mutated),
-                        "--out-dir", str(out)]
-                try:
+        return ops + [
+            (command, dict(cfg, law={"atoms": [[0.0, 0.5], [0.5, 0.5]]}))
+            for command, cfg in ops if command == "density"]
+
+    @staticmethod
+    def _broken(runs, tmp_path, capsys):
+        """The (command, config, failure) of each run that does not end
+        as main promises, warnings being errors."""
+        out, broken = tmp_path / "out", []
+        for command, cfg in runs:
+            argv = [command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                    "--out-dir", str(out)]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
                     code = cli.main(argv)
-                    lines = capsys.readouterr().out.splitlines()
-                    assert code in (0, 1, 2) and len(lines) == 1
-                    error = _strict_json(lines[0]).get("error", {})
-                    for artifact in out.glob("*.json"):
-                        _strict_json(artifact.read_text())
-                    assert code == 0 or not out.exists() or not any(
-                        out.iterdir())
-                    assert code != 1 or error.get("module") != "builtins"
-                except Exception as exc:
-                    capsys.readouterr()
-                    broken.append((command, mutated, repr(exc)))
-                shutil.rmtree(out, ignore_errors=True)
+                lines = capsys.readouterr().out.splitlines()
+                assert code in (0, 1, 2) and len(lines) == 1
+                error = _strict_json(lines[0]).get("error", {})
+                for artifact in out.glob("*.json"):
+                    _strict_json(artifact.read_text())
+                assert code == 0 or not out.exists() or not any(
+                    out.iterdir())
+                assert code != 1 or error.get("module") != "builtins"
+            except Exception as exc:
+                capsys.readouterr()
+                broken.append((command, cfg, repr(exc)))
+            shutil.rmtree(out, ignore_errors=True)
+        return broken
+
+    def test_mutated_configs(self, tmp_path, capsys):
+        broken = self._broken(
+            ((command, mutated) for command, cfg in self._ops()
+             for mutated in self._mutations(self._shrunk(cfg))),
+            tmp_path, capsys)
+        assert not broken, (len(broken), broken[:3])
+
+    @pytest.mark.parametrize("expr", ["exp(x^2)", "exp(-x)", "1e-300 + 0*x"])
+    def test_overflowing_drifts(self, expr, tmp_path, capsys):
+        # drifts that leave the float range, or whose Lambda does, on a
+        # grid widened to [-30, 30]: every command ends as promised, with
+        # no floating-point warning
+        runs = []
+        for command, cfg in self._ops():
+            cfg = dict(self._shrunk(cfg), drift={"expr": expr})
+            if "grid" in cfg:
+                cfg["grid"].update(x_min=-30.0, x_max=30.0, n_points=1201)
+            runs.append((command, cfg))
+        broken = self._broken(runs, tmp_path, capsys)
         assert not broken, (len(broken), broken[:3])
 
 

@@ -343,6 +343,17 @@ class TestLpErrors:
                                      r"x=-?\d"):
                 lp_errors(m, [0.05, 0.1], cfg, [1.0])
 
+    def test_overflowing_drift_is_read_quietly(self):
+        # F = exp(100 x) at alpha = 7 overflows on the paths themselves:
+        # the drift is read with the products, warning of nothing, and the
+        # pass refuses its F^2
+        m = LampertiMap(parse_drift("exp(100*x)"), alpha=7.0)
+        cfg = MCConfig(n_paths=64, n_steps=16, base_seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DriftDomainError, match=r"F\^2 is not finite"):
+                lp_errors(m, [0.1], cfg, [2.0])
+
     def test_overflowing_gap_power_still_warns(self):
         # only the products of F run with overflow ignored: a d^p past the
         # float range warns, and gives an inf mean

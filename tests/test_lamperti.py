@@ -490,6 +490,26 @@ class TestCellLookup:
         assert np.array_equal(lamperti_mod._cell(ix, v),
                               np.searchsorted(ix.knots, v, side="right") - 1)
 
+    def test_one_rule_a_table(self, monkeypatch):
+        # a table is walked or searched, never both: a bench table's lookup
+        # runs no search, and a crowded one's no walk (no key)
+        keys, searches = [], []
+        real_key, real_search = lamperti_mod._key, np.searchsorted
+        monkeypatch.setattr(lamperti_mod, "_key", lambda *a: (
+            keys.append(1), real_key(*a))[1])
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: (
+            searches.append(1), real_search(*a, **k))[1])
+        m = _bench_table("2 + cos(x)")
+        crowded = LampertiMap(parse_drift("1 + x^2"))
+        crowded.lambda_map(np.array([-1e4, 1e4]))
+        keys.clear(), searches.clear()
+        ix = m._table.ys
+        lamperti_mod._cell(ix, np.linspace(ix.knots[0], ix.knots[-2], 999))
+        assert (len(keys), searches) == (1, [])
+        ix = crowded._table.ys
+        lamperti_mod._cell(ix, np.linspace(ix.knots[0], ix.knots[-2], 999))
+        assert (keys, len(searches)) == ([1], 1)
+
     def test_key_never_decreases(self):
         v = np.array([-1e300, -3e5, -204.8, -1.0, -1e-300, -5e-324, -0.0,
                       0.0, 5e-324, 1e-300, 1.0, 2.0, 204.8, 3e5, 1e300])
@@ -607,6 +627,29 @@ class TestFlowGuards:
         x = float(str(exc.value).split("x=")[1].split(";")[0])
         assert math.isfinite(x) and abs(x) <= 1.0
 
+    def test_overflowing_drift_is_refused_quietly(self):
+        # F = exp(x^2) leaves the float range near x = 26.6, where the
+        # table's quadrature first reads it: refused there, with no warning
+        m = LampertiMap(parse_drift("exp(x^2)"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LampertiError, match="1/F overflows, at "
+                                                    r"x=26\.\d+;"):
+                m.flow(np.linspace(-2.0, 2.0, 5), 0.5)
+
+    def test_overflowing_cell_names_its_left_knot(self):
+        # F = 1e-300: Lambda steps about 5e298 over a lattice cell, so the
+        # inverse's cell coefficients overflow although 1/F and F F' do not:
+        # refused at the cell's left knot, with no warning, not at x = nan
+        m = LampertiMap(parse_drift("1e-300 + 0*x"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LampertiError) as exc:
+                m.flow(0.0, 0.5)
+        assert "a Hermite cell of Lambda is not finite at x=" in str(exc.value)
+        x = float(str(exc.value).split("x=")[1].split(";")[0])
+        assert math.isfinite(x) and abs(x) <= 1.0
+
     @pytest.mark.xfail(raises=LampertiError, strict=True,
                        reason="the table grows by whole lattice cells, and "
                               "the cell below 0.04 reaches past F's zero "
@@ -666,6 +709,18 @@ class TestReturnPolicy:
             grid = fn(self.GRID.reshape(2, 3))
             assert grid.shape == (2, 3), label
             assert np.array_equal(grid, flat.reshape(2, 3)), label
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    def test_transport_gives_floats_for_a_scalar(self, name):
+        # y, and the ratio on both forks: a float for a scalar; for an
+        # array, an array of its shape (or the constant fork's float 1)
+        m = LampertiMap(parse_drift(self.MAPS[name]))
+        for v in (0.25, np.float64(0.25), np.array(0.25)):
+            y, ratio = m.transport(v, 0.1)
+            assert type(y) is float and type(ratio) is float
+        y, ratio = m.transport(self.GRID.reshape(2, 3), 0.1)
+        assert y.shape == (2, 3)
+        assert ratio == 1.0 if m.is_constant else ratio.shape == (2, 3)
 
     @pytest.mark.parametrize("text", ["1", "2 + cos(x)"])
     def test_nan_y_raises(self, text):
