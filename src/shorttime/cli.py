@@ -18,15 +18,8 @@ import numpy as np
 
 from . import drift as drift_mod
 from . import evolution, girsanov, kernels, sampler
-from .drift import DriftError
-from .evolution import BoundaryError, CompositionPlan, GridMismatchError, InstabilityError
-from .kernels import GridSpec, InitialLaw, KernelKind, TailMassError
-from .lamperti import _BLOCK_CELLS, LampertiError, LampertiMap
-
-_DOMAIN_ERRORS = (
-    DriftError, LampertiError, TailMassError, BoundaryError,
-    GridMismatchError, InstabilityError,
-)
+from .kernels import GridSpec, InitialLaw, KernelKind
+from .lamperti import _BLOCK_CELLS, LampertiMap, _refuse
 
 
 class ConfigError(Exception):
@@ -159,7 +152,7 @@ def _build_map(cfg):
     if not _flag(cfg, "assume_valid") and "epsilon" in cfg:
         report = _assumption(cfg, d)
         if not report.passed:
-            raise DriftError(
+            raise drift_mod.DriftError(
                 f"drift failed the bound check: min f = {report.f_min} <= "
                 f"epsilon = {report.epsilon} on {report.scan_range} "
                 "(set assume_valid to override)"
@@ -367,7 +360,7 @@ def _cmd_girsanov_error(cfg):
     m = _build_map(cfg)
     T = [_num(cfg, "T")]
     p_values = _nums(cfg, "p_values", [2.0])
-    per_t = girsanov.lp_errors(m, T, _mc_config(cfg, 1), p_values)
+    per_t = girsanov._finite_lp_errors(m, T, _mc_config(cfg, 1), p_values)
     return {"errors.csv": _error_rows(T, p_values, per_t)}, {}
 
 
@@ -382,7 +375,7 @@ def _cmd_rate(cfg):
         raise ConfigError("rate needs a drift that depends on x; for a "
                           "constant drift the kernel is exact")
     # one common-path pass shares its draws across T_grid and serves every p
-    per_t = girsanov.lp_errors(m, t_grid, mc, p_values)
+    per_t = girsanov._finite_lp_errors(m, t_grid, mc, p_values)
     fits = {}
     for i, p in enumerate(p_values):
         fit = girsanov.rate_fit([(T, e[i]) for T, e in zip(t_grid, per_t)])
@@ -414,7 +407,7 @@ def _cmd_compose(cfg):
     _budget("n_slices x grid.n_points" + " + n_time_steps" * bool(steps),
             cells=1.5 * n * w, work=n_slices * (n * w + _CALL_WORK)
             + steps * (n + _CALL_WORK))
-    plan = CompositionPlan(T, n_slices, grid, kinds[0])
+    plan = evolution.CompositionPlan(T, n_slices, grid, kinds[0])
     dens = evolution.compose_chapman(m, plan, xp)
     meta = {"mass": dens.mass(), "n_slices": plan.n_slices,
             "kind": plan.kind.value}
@@ -525,11 +518,12 @@ def _fail(code, kind, exc, **extra):
 
 
 def _module(exc):
-    """The module of exc's type if shorttime defines it, else that of the
-    innermost shorttime frame exc passed: where a ValueError was raised."""
+    """The module of exc's type if shorttime defines it, else where a
+    ValueError was raised: the innermost shorttime frame but _refuse's."""
     from traceback import walk_tb
-    names = [type(exc).__module__] + [f.f_globals.get("__name__", "") for f, _
-                                      in walk_tb(exc.__traceback__)][::-1]
+    names = [type(exc).__module__] + [
+        f.f_globals.get("__name__", "") for f, _ in walk_tb(exc.__traceback__)
+        if f.f_code is not _refuse.__code__][::-1]
     return next((n for n in names if n.startswith("shorttime.")),
                 names[0]).rsplit(".", 1)[-1]
 
@@ -562,7 +556,7 @@ def main(argv=None):
         manifest = run_command(args.command, cfg, args.out_dir)
     except (ConfigError, KeyError, TypeError) as exc:
         return _fail(2, "config", exc)
-    except _DOMAIN_ERRORS + (ValueError,) as exc:
+    except ValueError as exc:  # every library error is one
         return _fail(1, "domain", exc, module=_module(exc))
     except MemoryError as exc:  # last resort: a size the host cannot hold
         return _fail(1, "resource", exc)

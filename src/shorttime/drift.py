@@ -21,7 +21,7 @@ import numpy as np
 from .lamperti import _BLOCK_CELLS, _result
 
 
-class DriftError(Exception):
+class DriftError(ValueError):
     """Base class for drift-expression failures."""
 
 

@@ -9,22 +9,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (KernelKind, _check_tails, _finite, _kernel_band,
-                      kernel_matrix)
-from .lamperti import _check_horizon
+from .drift import DriftDomainError
+from .kernels import KernelKind, _check_tails, _kernel_band, kernel_matrix
+from .lamperti import _check_horizon, _refuse
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-class BoundaryError(Exception):
+class BoundaryError(ValueError):
     """Density reached the grid boundary; results would be truncated."""
 
 
-class GridMismatchError(Exception):
+class GridMismatchError(ValueError):
     pass
 
 
-class InstabilityError(Exception):
+class InstabilityError(ValueError):
     """Time stepping lost mass or positivity beyond tolerance."""
 
 
@@ -114,8 +114,10 @@ def solve_fokker_planck(m, T, x_prime, grid, n_time_steps):
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         fm = m.drift_at(mids)
         f0, f1 = (float(v) for v in m.drift_jets(x_prime))
-    _finite("F or F' at the start", np.array([f0, f1]), x_prime)
-    _finite("F at the Crank-Nicolson midpoints", fm, mids)
+    _refuse(~np.isfinite([f0, f1]), x_prime,
+            "F or F' at the start is not finite at x={x}", DriftDomainError)
+    _refuse(~np.isfinite(fm), mids, "F at the Crank-Nicolson midpoints is "
+            "not finite at x={x}", DriftDomainError)
     mu0 = x_prime + f0 * t0 + 0.5 * f0 * f1 * t0 * t0
     _check_on_grid("warm-start mean", mu0, grid)
     var0 = max(t0 * (1.0 + f1 * t0), 0.5 * t0)

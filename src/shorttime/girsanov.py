@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drift import DriftDomainError
-from .lamperti import _BLOCK_CELLS, _check_horizon, _result
+from .lamperti import _BLOCK_CELLS, _check_horizon, _refuse, _result
 
 _CHUNK = 2048  # paths per RNG chunk; fixes seeding independent of workers
 _AHEAD = 4  # row blocks of normals drawn ahead of the reduction
@@ -152,12 +152,9 @@ def lp_errors(m, horizons, cfg, p_values):
                 end[j, lo:lo + q] = b[:q, -1]
             if lo + q < k:
                 continue
-            finite = np.isfinite(quad)
-            if not finite.all():
-                j, i = np.argwhere(~finite)[0]
-                raise DriftDomainError(
-                    f"F^2 is not finite on the path to "
-                    f"x={float(end[j, i])!r} at T={horizons[j]!r}")
+            for j, T in enumerate(horizons):
+                _refuse(~np.isfinite(quad[j]), end[j], "F^2 is not finite on "
+                        f"the path to x={{x}} at T={T!r}", DriftDomainError)
             for j, T in enumerate(horizons):
                 m_true = np.exp(ito[j] - 0.5 * (quad[j] * dts[j]))
                 d = np.abs(m_true - approx_exponential(m, end[j], T))
@@ -243,6 +240,18 @@ def _lp_estimate(total, total_sq, n, p):
     else:
         point, se = 0.0, 0.0
     return ErrorEstimate(mean=point, std_error=se, n=n)
+
+
+def _finite_lp_errors(m, horizons, cfg, p_values):
+    """lp_errors, run with overflow ignored, then ValueError naming T and p
+    where a mean or a standard error is not finite (d^p or d^2p overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_t = lp_errors(m, horizons, cfg, p_values)
+    for i, p in enumerate(p_values):
+        _refuse(~np.isfinite([(e[i].mean, e[i].std_error) for e in per_t]),
+                np.c_[horizons], "the error estimate or its standard error is "
+                f"not finite at T={{x}} and p={p!r}; lower p", ValueError)
+    return per_t
 
 
 def rate_fit(errors):

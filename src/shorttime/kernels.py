@@ -12,7 +12,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .drift import DriftDomainError
-from .lamperti import _BLOCK_CELLS, _GL16_W, _GL16_X, _check_horizon, _result
+from .lamperti import (_BLOCK_CELLS, _GL16_W, _GL16_X, _check_horizon,
+                       _refuse, _result)
 
 # Half-width of _kernel_band in standard deviations sqrt(T): a cell further
 # out is below exp(-_BAND_SIGMAS^2 / 2) = 1e-16 of its row's peak.
@@ -21,7 +22,7 @@ _BAND_SIGMAS = math.sqrt(2.0 * math.log(1e16))
 _DEFECT_TOL = 1e-10
 
 
-class TailMassError(Exception):
+class TailMassError(ValueError):
     """Grid too narrow: kernel mass at the boundary is not negligible."""
 
 
@@ -77,7 +78,7 @@ def _gaussian(a, b, T, scale, damp):
     centre.  A distance whose square overflows (a start at 1e300, say)
     gives exp(-inf) = 0, the kernel's value there, so that overflow is
     not reported; nor is a drift term past the float range, whose kernel
-    values compose, density and the defect refuse (_finite)."""
+    values compose, density and the defect refuse."""
     with np.errstate(over="ignore", invalid="ignore"):
         return scale * np.exp(-np.square(a - b) / (2.0 * T) - damp)
 
@@ -197,23 +198,13 @@ def _integrate_kernel(kind, m, T, x_prime, lo, hi, n_panels):
     return float(half * np.sum(vals @ _GL16_W))
 
 
-def _finite(label, values, x):
-    """DriftDomainError naming the first of the points x (broadcast to
-    values) where values is not finite: there the drift, or a kernel term
-    made from it, left the float range."""
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        x = np.broadcast_to(x, bad.shape)[bad][0]
-        raise DriftDomainError(f"{label} is not finite at x={float(x)!r}")
-
-
 def _check_tails(values, rel, error, label, grid):
-    """Raise error unless both end values are at most rel times the peak.
-    The values, on the grid's points, are not negative, so a nan or inf
-    among them shows in the peak: DriftDomainError names its point."""
+    """Raise error unless both end values are at most rel times the peak;
+    DriftDomainError names a grid point where a value is not finite: there
+    the drift, or a kernel term made from it, left the float range."""
+    _refuse(~np.isfinite(values), grid.points(),
+            label + " is not finite at x={x}", DriftDomainError)
     peak = float(np.max(values))
-    if not math.isfinite(peak):
-        _finite(label, values, grid.points())
     if peak <= 0.0:
         raise error(f"{label} vanished on the whole grid")
     if values[0] > rel * peak or values[-1] > rel * peak:
@@ -248,5 +239,6 @@ def marginal_density(kind, m, law, T, x):
     names an x where it is not finite."""
     atoms, weights = np.array(law.atoms).T
     out = (kernel_matrix(m, kind, T, x, atoms) @ weights).reshape(np.shape(x))
-    _finite("the marginal density", out, x)
+    _refuse(~np.isfinite(out), x, "the marginal density is not finite at "
+            "x={x}", DriftDomainError)
     return _result(out)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 
-class LampertiError(Exception):
+class LampertiError(ValueError):
     """A map evaluation failed: a bad input, a drift outside the bounds, or
     a table for Lambda past its cell budget."""
 
@@ -39,12 +39,18 @@ _BINS_A_KNOT = 4
 _MAX_PASSES = 4
 
 
+def _refuse(bad, x, message, error=LampertiError):
+    """error(message), its {x} the first of the points x (broadcast to bad)
+    where bad holds, if it holds anywhere: the one refusal naming a point."""
+    if np.any(bad):
+        x = np.broadcast_to(x, np.shape(bad))[bad][0]
+        raise error(message.format(x=float(x)))
+
+
 def _floats(name, v):
     """v as a float array; LampertiError on a non-finite entry."""
     v = np.asarray(v, dtype=float)
-    finite = np.isfinite(v)
-    if not np.all(finite):
-        raise LampertiError(f"non-finite {name}={float(v[~finite][0])!r}")
+    _refuse(~np.isfinite(v), v, f"non-finite {name}={{x}}")
     return v
 
 
@@ -83,11 +89,7 @@ def _hermite(x, p, d1, d2):
     ])
 
 
-def _refuse(bad, x, what):
-    """LampertiError naming the first x where bad holds, if it holds."""
-    if np.any(bad):
-        raise LampertiError(f"{what} at x={float(x[bad][0])!r}; assumption "
-                            "violated on the traversed range")
+_VIOLATED = " at x={x}; assumption violated on the traversed range"
 
 
 def _cells_of(x, y, g, f1):
@@ -100,9 +102,9 @@ def _cells_of(x, y, g, f1):
     with np.errstate(over="ignore", invalid="ignore"):
         ff1 = f1 / g
         fwd, inv = _hermite(x, y, g, -f1 * g * g), _hermite(y, x, 1.0 / g, ff1)
-    _refuse(~np.isfinite(ff1), x, "F F' is not finite")
+    _refuse(~np.isfinite(ff1), x, "F F' is not finite" + _VIOLATED)
     _refuse(~np.isfinite(np.concatenate([fwd, inv])).all(axis=0), x[0],
-            "a Hermite cell of Lambda is not finite")
+            "a Hermite cell of Lambda is not finite" + _VIOLATED)
     return fwd, inv
 
 
@@ -234,7 +236,7 @@ class LampertiMap:
             jets = self.drift_jets(x) if order else (self.drift_at(x),)
             g = 1.0 / jets[0]
         _refuse(~((g > 0.0) & (g < math.inf)), x, "drift non-positive or "
-                "non-finite, or 1/F overflows,")
+                "non-finite, or 1/F overflows," + _VIOLATED)
         return g, *jets[1:]
 
     # -- quadrature ---------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .drift import DriftDomainError
 from .girsanov import _normals, chunks
-from .lamperti import _BLOCK_CELLS, _check_horizon, _result
+from .lamperti import _BLOCK_CELLS, _check_horizon, _refuse, _result
 
 _CHUNK = 1 << 16  # samples per derived seed; output independent of workers
 
@@ -68,10 +68,9 @@ def sample_em_path(m, x_prime, T, n_steps, n, seed):
                         x += np.multiply(f, dt, out=f)
                         x += np.multiply(dz, sqrt_dt, out=dz)
                 # a path that left the float range stays out of it
-                if not np.isfinite(x).all():
-                    raise DriftDomainError(
-                        f"an Euler-Maruyama path from x'={x_prime!r} left "
-                        f"the float range by step {lo + len(z)}")
+                _refuse(~np.isfinite(x), x_prime, "an Euler-Maruyama path "
+                        f"from x'={{x}} left the float range by step "
+                        f"{lo + len(z)}", DriftDomainError)
         values.append(x)
     return SampleSet(values=np.concatenate(values), horizon=float(T),
                      seed=int(seed), scheme="euler_maruyama_path")

@@ -785,6 +785,43 @@ class TestOverflowingDrift:
         assert list(out.iterdir()) == []
 
 
+class TestNonFiniteEstimate:
+    """An L^p error estimate whose gap power d^p, or the d^2p of its
+    standard error, leaves the float range ends in exit 1 naming its T and
+    p, with no floating-point warning and no artifact: not in a row of inf
+    or nan, nor in a rate fit of NaN."""
+
+    MC = 'mc={"n_paths": 300, "n_steps": 16, "base_seed": 3}'
+
+    @pytest.mark.parametrize("command,config,sets,where", [
+        ("girsanov-error", "girsanov_error_T01", ["p_values=[2000]", "T=1.0"],
+         "T=1.0 and p=2000.0"),
+        # the mean is finite, its standard error is not
+        ("girsanov-error", "girsanov_error_T01", ["p_values=[250]", "T=1.0"],
+         "T=1.0 and p=250.0"),
+        # two of the three horizons overflow, and the first is named
+        ("rate", "rate_study", ["p_values=[1000]", "T_grid=[1.0,0.5,0.25]"],
+         "T=1.0 and p=1000.0"),
+    ], ids=["mean", "std-error", "rate"])
+    def test_refused_with_no_artifact(self, command, config, sets, where,
+                                      tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--config",
+                os.path.join(_ROOT, "configs", f"{config}.json"),
+                "--out-dir", str(out), "--set", self.MC]
+        for s in sets:
+            argv += ["--set", s]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert (code, len(lines)) == (1, 1)
+        error = _strict_json(lines[0])["error"]
+        assert (error["kind"], error["module"]) == ("domain", "girsanov")
+        assert where in error["message"]
+        assert list(out.iterdir()) == []
+
+
 class TestNonFiniteConfig:
     """json reads NaN, Infinity and 1e999 as floats; each must exit 2 before
     any artifact is written."""
@@ -1365,7 +1402,8 @@ class TestBudgetHeadroom:
 
 class TestErrorModule:
     """A library precondition error names the shorttime module that raised
-    it, not the builtins module of ValueError."""
+    it, not the builtins module of ValueError; an error class the library
+    defines, a ValueError too, reaches main as exit 1 naming its module."""
 
     @pytest.mark.parametrize("command,changes,module", [
         ("density", {"T": -1.0}, "lamperti"),
@@ -1377,8 +1415,16 @@ class TestErrorModule:
                                    "base_seed": 1}}, "girsanov"),
         # a slice kernel narrower than the grid step: refused, not summed
         ("compose", {"n_slices": 1000}, "evolution"),
+        # the library's own classes: LampertiError, DriftParseError,
+        # TailMassError and BoundaryError
+        ("flow", {"x_values": [0.0, 1e8]}, "lamperti"),
+        ("flow", {"drift": {"expr": "x +"}}, "drift"),
+        ("density", {"grid": {"x_min": -4.0, "x_max": 0.5, "n_points": 301}},
+         "kernels"),
+        ("fp-solve", {"x_prime": 100.0}, "evolution"),
     ], ids=["density-T", "fp-solve-steps", "compose-slices", "grid-range",
-            "mc-paths", "compose-coarse-grid"])
+            "mc-paths", "compose-coarse-grid", "lamperti-error",
+            "drift-error", "tail-mass-error", "boundary-error"])
     def test_names_the_raising_module(self, command, changes, module,
                                       tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json",
@@ -1402,8 +1448,9 @@ class TestContract:
     """Every configs/*.json, shrunk, with one key at any nesting level
     dropped or set to a value of another kind, ends as main promises: exit
     0, 1 or 2 with one strict JSON line on stdout, strict JSON in every
-    JSON artifact, no artifact on any failure, no floating-point warning,
-    and on a domain error a module of shorttime's named, not builtins."""
+    JSON artifact, only finite values in every CSV artifact, no artifact on
+    any failure, no floating-point warning, and on a domain error a module
+    of shorttime's named, not builtins."""
 
     VALUES = ["x", [], {}, True, None, -1, 0, 1, 0.5, 1e300, -1e300, [1.0],
               {"a": 1}]
@@ -1467,6 +1514,10 @@ class TestContract:
                 error = _strict_json(lines[0]).get("error", {})
                 for artifact in out.glob("*.json"):
                     _strict_json(artifact.read_text())
+                for artifact in out.glob("*.csv"):  # no inf or nan written
+                    rows = artifact.read_text().splitlines()[1:]
+                    assert all(math.isfinite(float(v)) for row in rows
+                               for v in row.split(","))
                 assert code == 0 or not out.exists() or not any(
                     out.iterdir())
                 assert code != 1 or error.get("module") != "builtins"
@@ -1494,6 +1545,20 @@ class TestContract:
             if "grid" in cfg:
                 cfg["grid"].update(x_min=-30.0, x_max=30.0, n_points=1201)
             runs.append((command, cfg))
+        broken = self._broken(runs, tmp_path, capsys)
+        assert not broken, (len(broken), broken[:3])
+
+    def test_overflowing_estimates(self, tmp_path, capsys):
+        # at T = 1 a gap's d^p (p = 2000) or the d^2p of its standard error
+        # (p = 250) leaves the float range: every run ends as promised,
+        # writing no inf or nan
+        horizons = {"girsanov-error": {"T": 1.0},
+                    "rate": {"T_grid": [1.0, 0.5, 0.25]}}
+        runs = [(command, dict(self._shrunk(cfg), p_values=[p],
+                               **horizons[command]))
+                for command, cfg in self._ops() if command in horizons
+                for p in (250.0, 2000.0)]
+        assert len(runs) == 4
         broken = self._broken(runs, tmp_path, capsys)
         assert not broken, (len(broken), broken[:3])
 

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import pkgutil
 
 import pytest
 
@@ -112,3 +113,22 @@ def test_only_the_known_key_is_stale():
         except (AssertionError, KeyError):
             stale.add(key)
     assert stale == STALE
+
+
+def test_library_errors_are_value_errors():
+    # the CLI maps ValueError alone to exit 1, so every exception class a
+    # shorttime module defines is one, bar the CLI's own ConfigError (exit 2)
+    from shorttime import cli
+
+    found = set()
+    for info in pkgutil.iter_modules(shorttime.__path__):
+        mod = importlib.import_module(f"shorttime.{info.name}")
+        for cls in vars(mod).values():
+            if (inspect.isclass(cls) and issubclass(cls, BaseException)
+                    and cls.__module__ == mod.__name__
+                    and cls is not cli.ConfigError):
+                assert issubclass(cls, ValueError), cls
+                found.add(cls.__name__)
+    assert found >= {"DriftError", "DriftParseError", "DriftDomainError",
+                     "LampertiError", "TailMassError", "BoundaryError",
+                     "GridMismatchError", "InstabilityError"}
