@@ -199,12 +199,13 @@ def _integrate_kernel(kind, m, T, x_prime, lo, hi, n_panels):
 
 
 def _check_tails(values, rel, error, label, grid):
-    """Raise error unless both end values are at most rel times the peak;
-    DriftDomainError names a grid point where a value is not finite: there
-    the drift, or a kernel term made from it, left the float range."""
-    _refuse(~np.isfinite(values), grid.points(),
-            label + " is not finite at x={x}", DriftDomainError)
+    """Raise error unless both end values are at most rel times the peak.
+    The values, on the grid's points, are not negative, so a nan or inf
+    among them shows in the peak: DriftDomainError names its point."""
     peak = float(np.max(values))
+    if not math.isfinite(peak):
+        _refuse(~np.isfinite(values), grid.points(),
+                label + " is not finite at x={x}", DriftDomainError)
     if peak <= 0.0:
         raise error(f"{label} vanished on the whole grid")
     if values[0] > rel * peak or values[-1] > rel * peak:
